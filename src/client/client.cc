@@ -159,12 +159,10 @@ Status Client::DialOnce() {
       auto hello = Receive();
       if (!hello.ok()) fs = hello.status();
       else if (!hello->ok()) fs = hello->ToStatus();
-      else if (hello->i64 < static_cast<int64_t>(api::kMinProtocolVersion) ||
-               hello->i64 > static_cast<int64_t>(api::kProtocolVersion)) {
+      else if (hello->i64 != api::kProtocolVersion) {
         fs = Status::IllegalState(
             "client: server speaks protocol version " +
             std::to_string(hello->i64) + ", this client speaks " +
-            std::to_string(api::kMinProtocolVersion) + ".." +
             std::to_string(api::kProtocolVersion));
       } else {
         server_version_ = static_cast<uint16_t>(hello->i64);
@@ -235,10 +233,6 @@ void Client::Send(const api::Command& cmd) {
   uint64_t trace = cmd.trace_id;
   uint64_t span = cmd.span_id;
   if (trace == 0 && TracingOn()) trace = NewTraceId();
-  if (trace != 0 && server_version_ != 0 && server_version_ < 3) {
-    trace = 0;  // a v2 server rejects the trace flag; drop, don't break
-    span = 0;
-  }
   if (trace != 0 && span == 0) span = ++trace_counter_;
   std::vector<uint8_t> payload;
   if (stamp_deadline || trace != cmd.trace_id || span != cmd.span_id) {

@@ -1,67 +1,35 @@
 #include "core/deadlock_detector.h"
 
 #include <deque>
-#include <unordered_set>
+#include <unordered_map>
 
 namespace asset {
 
-bool DeadlockDetector::WouldDeadlock(const TransactionDescriptor* requester,
-                                     const TdTable& txns) {
-  // BFS from each transaction the requester would wait on; a path back to
-  // the requester closes a cycle through it.
-  std::unordered_set<Tid> visited;
-  std::deque<Tid> work(requester->waiting_for.begin(),
-                       requester->waiting_for.end());
+std::vector<Tid> DeadlockDetector::WouldDeadlock(
+    const TransactionDescriptor* requester, const TdTable& txns) {
+  // BFS from the requester along waits-for edges; reaching it again
+  // closes a cycle through it. `waited_by` maps each reached tid to the
+  // tid that waits for it, so the path back can be read off.
+  const Tid self = requester->tid;
+  std::unordered_map<Tid, Tid> waited_by;
+  std::deque<Tid> work{self};
   while (!work.empty()) {
     Tid cur = work.front();
     work.pop_front();
-    if (cur == requester->tid) return true;
-    if (!visited.insert(cur).second) continue;
-    auto it = txns.find(cur);
-    if (it == txns.end()) continue;
-    for (Tid next : it->second->waiting_for) work.push_back(next);
-  }
-  return false;
-}
-
-std::vector<Tid> DeadlockDetector::FindCycle(const TdTable& txns) {
-  // Iterative DFS with colors over the waits-for graph.
-  enum class Color { kWhite, kGray, kBlack };
-  std::unordered_map<Tid, Color> color;
-  std::unordered_map<Tid, Tid> parent;
-  for (const auto& [tid, td] : txns) color[tid] = Color::kWhite;
-
-  for (const auto& [root, root_td] : txns) {
-    if (color[root] != Color::kWhite) continue;
-    std::deque<std::pair<Tid, size_t>> stack{{root, 0}};
-    color[root] = Color::kGray;
-    while (!stack.empty()) {
-      auto& [cur, next_idx] = stack.back();
+    const TransactionDescriptor* td = requester;
+    if (cur != self) {
       auto it = txns.find(cur);
-      static const std::vector<Tid> kNoEdges;
-      const std::vector<Tid>& edges =
-          it != txns.end() ? it->second->waiting_for : kNoEdges;
-      if (next_idx < edges.size()) {
-        Tid next = edges[next_idx++];
-        auto cit = color.find(next);
-        if (cit == color.end()) continue;
-        if (cit->second == Color::kGray) {
-          // Unwind the cycle next -> ... -> cur -> next.
-          std::vector<Tid> cycle{next};
-          for (auto rit = stack.rbegin(); rit != stack.rend(); ++rit) {
-            cycle.push_back(rit->first);
-            if (rit->first == next) break;
-          }
-          return cycle;
-        }
-        if (cit->second == Color::kWhite) {
-          cit->second = Color::kGray;
-          stack.emplace_back(next, 0);
-        }
-      } else {
-        color[cur] = Color::kBlack;
-        stack.pop_back();
+      if (it == txns.end()) continue;
+      td = it->second.get();
+    }
+    for (Tid next : td->waiting_for) {
+      if (next == self) {
+        std::vector<Tid> cycle;
+        for (Tid t = cur; t != self; t = waited_by[t]) cycle.push_back(t);
+        cycle.push_back(self);
+        return {cycle.rbegin(), cycle.rend()};
       }
+      if (waited_by.emplace(next, cur).second) work.push_back(next);
     }
   }
   return {};

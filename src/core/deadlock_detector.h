@@ -20,15 +20,13 @@ namespace asset {
 /// Stateless cycle check over the waits-for edges recorded in the TDs.
 class DeadlockDetector {
  public:
-  /// True if blocking `requester` (whose `waiting_for` must already name
-  /// the holders it would wait on) closes a waits-for cycle through it.
+  /// The waits-for cycle that blocking `requester` (whose `waiting_for`
+  /// must already name the holders it would wait on) would close, in
+  /// wait order: the requester first, then the transaction it waits
+  /// for, and so on around the cycle. Empty when blocking is safe.
   /// Caller holds the kernel mutex.
-  static bool WouldDeadlock(const TransactionDescriptor* requester,
-                            const TdTable& txns);
-
-  /// All tids on some waits-for cycle (diagnostics). Caller holds the
-  /// kernel mutex.
-  static std::vector<Tid> FindCycle(const TdTable& txns);
+  static std::vector<Tid> WouldDeadlock(const TransactionDescriptor* requester,
+                                        const TdTable& txns);
 };
 
 }  // namespace asset

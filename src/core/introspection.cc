@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/exposition.h"
+
 namespace asset {
 
 namespace {
@@ -52,28 +54,6 @@ void AppendObjectSet(const ObjectSet& objs, std::ostringstream& os) {
     os << objs.ids()[i];
   }
   os << "]";
-}
-
-void AppendHistogramMetrics(const char* name,
-                            const LatencyHistogram::Snapshot& h,
-                            std::ostringstream& os) {
-  os << "# HELP asset_" << name << "_count Observations in the " << name
-     << " latency histogram.\n"
-     << "# TYPE asset_" << name << "_count counter\n"
-     << "asset_" << name << "_count " << h.count << "\n"
-     << "# HELP asset_" << name << "_sum_ns Summed " << name
-     << " latency, nanoseconds.\n"
-     << "# TYPE asset_" << name << "_sum_ns counter\n"
-     << "asset_" << name << "_sum_ns " << h.sum << "\n";
-  auto pct = [&](const char* p, uint64_t v) {
-    os << "# HELP asset_" << name << "_p" << p << "_ns " << p
-       << "th percentile " << name << " latency, nanoseconds.\n"
-       << "# TYPE asset_" << name << "_p" << p << "_ns gauge\n"
-       << "asset_" << name << "_p" << p << "_ns " << v << "\n";
-  };
-  pct("50", h.p50());
-  pct("95", h.p95());
-  pct("99", h.p99());
 }
 
 }  // namespace
@@ -161,33 +141,27 @@ std::string RenderWaitForDot(const KernelStateSnapshot& snap) {
 
 std::string RenderMetricsText(const KernelStats::Snapshot& stats,
                               const WalWatermarks& wal) {
-  std::ostringstream os;
-#define ASSET_METRIC_LINE(group, field, label)                        \
-  os << "# HELP asset_" #group "_" #label " Kernel counter " #group   \
-        "/" #label ".\n"                                              \
-     << "# TYPE asset_" #group "_" #label " counter\n"                \
-     << "asset_" #group "_" #label " " << stats.field << "\n";
-  ASSET_KERNEL_COUNTERS(ASSET_METRIC_LINE)
-#undef ASSET_METRIC_LINE
-#define ASSET_METRIC_HIST(field) \
-  AppendHistogramMetrics(#field, stats.field, os);
-  ASSET_KERNEL_HISTOGRAMS(ASSET_METRIC_HIST)
-#undef ASSET_METRIC_HIST
-  auto wal_gauge = [&os](const char* name, const char* help, uint64_t v) {
-    os << "# HELP " << name << ' ' << help << "\n"
-       << "# TYPE " << name << " gauge\n"
-       << name << ' ' << v << "\n";
-  };
-  wal_gauge("asset_wal_last_lsn", "Highest LSN appended to the WAL.",
-            wal.last_lsn);
-  wal_gauge("asset_wal_durable_lsn", "Highest LSN known durable on disk.",
-            wal.durable_lsn);
-  wal_gauge("asset_wal_checkpoint_lsn", "LSN of the last fuzzy checkpoint.",
-            wal.checkpoint_lsn);
-  wal_gauge("asset_wal_min_recovery_lsn",
-            "Oldest LSN recovery would need to replay.",
-            wal.min_recovery_lsn);
-  return os.str();
+  ExpositionWriter w;
+#define ASSET_METRIC_COUNTER(group, field, label)                  \
+  w.Counter("asset_" #group "_" #label "_total",                   \
+            "Kernel counter " #group "/" #label ".", stats.field);
+  ASSET_KERNEL_COUNTERS(ASSET_METRIC_COUNTER)
+#undef ASSET_METRIC_COUNTER
+#define ASSET_METRIC_SUMMARY(field)                                \
+  w.Summary("asset_" #field "_ns",                                 \
+            "Kernel " #field " histogram, nanoseconds.", stats.field);
+  ASSET_KERNEL_HISTOGRAMS(ASSET_METRIC_SUMMARY)
+#undef ASSET_METRIC_SUMMARY
+  w.Gauge("asset_wal_last_lsn", "Highest LSN appended to the WAL.",
+          wal.last_lsn);
+  w.Gauge("asset_wal_durable_lsn", "Highest LSN known durable on disk.",
+          wal.durable_lsn);
+  w.Gauge("asset_wal_checkpoint_lsn", "LSN of the last fuzzy checkpoint.",
+          wal.checkpoint_lsn);
+  w.Gauge("asset_wal_min_recovery_lsn",
+          "Oldest LSN recovery would need to replay.",
+          wal.min_recovery_lsn);
+  return w.Take();
 }
 
 }  // namespace asset

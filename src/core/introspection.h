@@ -80,8 +80,9 @@ std::string RenderKernelStateJson(const KernelStateSnapshot& snap,
 /// Graphviz digraph.
 std::string RenderWaitForDot(const KernelStateSnapshot& snap);
 
-/// Counters, histogram percentiles, and WAL watermarks in Prometheus
-/// text exposition format ("asset_<group>_<label> <value>").
+/// Counters ("asset_<group>_<label>_total"), latency summaries
+/// ("asset_<histogram>_ns"), and WAL watermarks in Prometheus text
+/// exposition format.
 std::string RenderMetricsText(const KernelStats::Snapshot& stats,
                               const WalWatermarks& wal);
 

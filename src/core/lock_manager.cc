@@ -279,11 +279,14 @@ Status LockManager::Acquire(TransactionDescriptor* td, ObjectId oid,
       td->waiting_for_oid = oid;
       sync_->lock_blocked.insert(td);
       published = true;
-      if (options_.detect_deadlocks &&
-          DeadlockDetector::WouldDeadlock(td, *txns_)) {
+      std::vector<Tid> cycle;
+      if (options_.detect_deadlocks) {
+        cycle = DeadlockDetector::WouldDeadlock(td, *txns_);
+      }
+      if (!cycle.empty()) {
         // Name the cycle for introspection before resolving it — the
         // victim's edges below are what close it.
-        sync_->last_deadlock_cycle = DeadlockDetector::FindCycle(*txns_);
+        sync_->last_deadlock_cycle = std::move(cycle);
         td->waiting_for.clear();
         td->waiting_for_oid = kNullObjectId;
         sync_->lock_blocked.erase(td);

@@ -22,8 +22,8 @@ namespace asset {
 
 /// Every kernel counter: X(group, field, label). `group` and `label`
 /// name the counter in ToString()/MetricsText() output ("group{label=N}"
-/// and "asset_group_label N"); `field` is the C++ member. Entries with
-/// the same group must stay contiguous.
+/// and "asset_group_label_total N"); `field` is the C++ member. Entries
+/// with the same group must stay contiguous.
 #define ASSET_KERNEL_COUNTERS(X)                                           \
   X(txns, txns_initiated, initiated)                                       \
   X(txns, txns_begun, begun)                                               \

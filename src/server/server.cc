@@ -15,13 +15,16 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/command.h"
 #include "api/session.h"
 #include "api/wire.h"
+#include "common/exposition.h"
 #include "common/histogram.h"
 #include "common/socket_io.h"
 #include "common/trace.h"
@@ -49,78 +52,6 @@ int SetNonBlocking(int fd) {
 }
 
 }  // namespace
-
-std::string ServerStats::Render() const {
-  std::string out;
-  auto emit = [&out](const char* name, const char* help, uint64_t v) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  emit("asset_server_connections_accepted_total", "Connections accepted.",
-       connections_accepted.load(std::memory_order_relaxed));
-  emit("asset_server_connections_rejected_total",
-       "Connections refused at the max_connections cap.",
-       connections_rejected.load(std::memory_order_relaxed));
-  emit("asset_server_connections_closed_total", "Connections closed.",
-       connections_closed.load(std::memory_order_relaxed));
-  emit("asset_server_frames_in_total", "Request frames decoded.",
-       frames_in.load(std::memory_order_relaxed));
-  emit("asset_server_frames_out_total", "Reply frames sent.",
-       frames_out.load(std::memory_order_relaxed));
-  emit("asset_server_bytes_in_total", "Bytes received.",
-       bytes_in.load(std::memory_order_relaxed));
-  emit("asset_server_bytes_out_total", "Bytes sent.",
-       bytes_out.load(std::memory_order_relaxed));
-  emit("asset_server_protocol_errors_total",
-       "Malformed or oversized frames (each closes its connection).",
-       protocol_errors.load(std::memory_order_relaxed));
-  emit("asset_server_txns_aborted_on_close_total",
-       "Open transactions aborted because their connection went away.",
-       txns_aborted_on_close.load(std::memory_order_relaxed));
-  emit("asset_server_idle_closed_total", "Connections closed as idle.",
-       idle_closed.load(std::memory_order_relaxed));
-  emit("asset_server_backpressure_pauses_total",
-       "Times reading was paused because a send buffer hit its limit.",
-       backpressure_pauses.load(std::memory_order_relaxed));
-  emit("asset_server_admission_shed_total",
-       "Begin commands shed with kOverloaded by admission control.",
-       admission_shed.load(std::memory_order_relaxed));
-  emit("asset_server_deadline_expired_total",
-       "Commands rejected because their deadline expired before dispatch.",
-       deadline_expired.load(std::memory_order_relaxed));
-  emit("asset_server_deadline_timeout_aborts_total",
-       "Commands whose kernel wait hit the deadline (each aborted its "
-       "transaction).",
-       deadline_timeout_aborts.load(std::memory_order_relaxed));
-  auto gauge = [&out](const char* name, const char* help, int64_t v) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  gauge("asset_server_connections_active", "Currently open connections.",
-        connections_active.load(std::memory_order_relaxed));
-  gauge("asset_server_open_txns",
-        "Open transactions across all connections.",
-        open_txns.load(std::memory_order_relaxed));
-  return out;
-}
 
 Status Server::Options::Validate() const {
   if (workers <= 0) {
@@ -514,7 +445,7 @@ struct Server::Impl {
               static_cast<int64_t>(txns_before),
           std::memory_order_relaxed);
       if (cmd->type == api::CommandType::kMetrics && reply.ok()) {
-        reply.text += stats->Render() + RenderExtraMetrics();
+        reply.text = RenderMetrics();
       }
       if (cmd->type == api::CommandType::kSlowLog && reply.ok()) {
         reply.text = RenderSlowLogJson();
@@ -733,88 +664,58 @@ struct Server::Impl {
 
   // --- Introspection rendering ---------------------------------------
 
-  /// Per-command stage-latency summaries plus the flight-recorder and
-  /// slow-log state gauges — appended after ServerStats::Render() both
-  /// in Server::MetricsText() and in the wire kMetrics reply.
-  std::string RenderExtraMetrics() const {
-    std::string out;
-    out +=
-        "# HELP asset_server_stage_ns Per-command request stage latency "
-        "(dispatch queue, kernel execute, reply flush), nanoseconds.\n"
-        "# TYPE asset_server_stage_ns summary\n";
-    auto summary = [&out](const char* command, const char* stage,
-                          const LatencyHistogram& h) {
-      const LatencyHistogram::Snapshot s = h.snapshot();
-      if (s.count == 0) return;
-      auto line = [&](const char* suffix, const char* quantile,
-                      uint64_t v) {
-        out += "asset_server_stage_ns";
-        out += suffix;
-        out += "{command=\"";
-        out += command;
-        out += "\",stage=\"";
-        out += stage;
-        out += '"';
-        if (quantile != nullptr) {
-          out += ",quantile=\"";
-          out += quantile;
-          out += '"';
-        }
-        out += "} ";
-        out += std::to_string(v);
-        out += '\n';
-      };
-      line("", "0.5", s.p50());
-      line("", "0.95", s.p95());
-      line("", "0.99", s.p99());
-      line("_count", nullptr, s.count);
-      line("_sum", nullptr, s.sum);
-    };
+  /// The whole scrape, for Server::MetricsText() and the wire kMetrics
+  /// reply alike: the kernel's families, then the asset_server_* ones.
+  std::string RenderMetrics() const {
+    ExpositionWriter w(db->MetricsText());
+#define ASSET_RENDER_SERVER_COUNTER(field, help)    \
+  w.Counter("asset_server_" #field "_total", help, \
+            stats->field.load(std::memory_order_relaxed));
+    ASSET_SERVER_COUNTERS(ASSET_RENDER_SERVER_COUNTER)
+#undef ASSET_RENDER_SERVER_COUNTER
+#define ASSET_RENDER_SERVER_GAUGE(field, help) \
+  w.Gauge("asset_server_" #field, help,        \
+          stats->field.load(std::memory_order_relaxed));
+    ASSET_SERVER_GAUGES(ASSET_RENDER_SERVER_GAUGE)
+#undef ASSET_RENDER_SERVER_GAUGE
+    constexpr std::string_view kStage = "asset_server_stage_ns";
+    w.Family(kStage, "summary",
+             "Per-command request stage latency (dispatch queue, kernel "
+             "execute, reply flush), nanoseconds.");
     for (size_t tag = 1; tag < kNumTags; ++tag) {
-      const char* name = api::CommandTypeToString(
-          static_cast<api::CommandType>(tag));
+      const char* command =
+          api::CommandTypeToString(static_cast<api::CommandType>(tag));
       const StageHistograms& h = stage_hist[tag];
-      summary(name, "queue", h.queue);
-      summary(name, "execute", h.execute);
-      summary(name, "flush", h.flush);
+      const std::pair<const char*, const LatencyHistogram*> stages[] = {
+          {"queue", &h.queue}, {"execute", &h.execute}, {"flush", &h.flush}};
+      for (const auto& [stage, hist] : stages) {
+        const LatencyHistogram::Snapshot s = hist->snapshot();
+        if (s.count == 0) continue;
+        w.SummarySamples(kStage, {{"command", command}, {"stage", stage}}, s);
+      }
     }
-    auto gauge = [&out](const char* name, const char* help, int64_t v) {
-      out += "# HELP ";
-      out += name;
-      out += ' ';
-      out += help;
-      out += "\n# TYPE ";
-      out += name;
-      out += " gauge\n";
-      out += name;
-      out += ' ';
-      out += std::to_string(v);
-      out += '\n';
-    };
-    gauge("asset_server_trace_enabled",
-          "Whether the flight recorder is recording (1) or not (0).",
-          rec->enabled() ? 1 : 0);
-    gauge("asset_server_trace_ring_slots",
-          "Event slots per per-thread flight-recorder ring.",
-          static_cast<int64_t>(rec->ring_slots()));
-    gauge("asset_server_trace_rings",
-          "Per-thread flight-recorder rings created so far.",
-          static_cast<int64_t>(rec->ring_count()));
-    gauge("asset_server_slow_request_threshold_ms",
-          "Slow-request capture threshold in milliseconds (0 = off).",
-          options.slow_request_threshold.count());
+    w.Gauge("asset_server_trace_enabled",
+            "Whether the flight recorder is recording (1) or not (0).",
+            rec->enabled() ? 1 : 0);
+    w.Gauge("asset_server_trace_ring_slots",
+            "Event slots per per-thread flight-recorder ring.",
+            rec->ring_slots());
+    w.Gauge("asset_server_trace_rings",
+            "Per-thread flight-recorder rings created so far.",
+            rec->ring_count());
+    w.Gauge("asset_server_slow_request_threshold_ms",
+            "Slow-request capture threshold in milliseconds (0 = off).",
+            options.slow_request_threshold.count());
     uint64_t total;
     {
       std::lock_guard<std::mutex> g(slow_mu);
       total = slow_total;
     }
-    out +=
-        "# HELP asset_server_slow_requests_total Requests whose "
-        "queue+execute+flush total met the slow-request threshold.\n"
-        "# TYPE asset_server_slow_requests_total counter\n"
-        "asset_server_slow_requests_total " +
-        std::to_string(total) + '\n';
-    return out;
+    w.Counter("asset_server_slow_requests_total",
+              "Requests whose queue+execute+flush total met the "
+              "slow-request threshold.",
+              total);
+    return w.Take();
   }
 
   /// The slow-request ring as JSON, oldest entry first.
@@ -947,10 +848,7 @@ void Server::Shutdown() {
 
 Server::~Server() { Shutdown(); }
 
-std::string Server::MetricsText() const {
-  return impl_->db->MetricsText() + stats_.Render() +
-         impl_->RenderExtraMetrics();
-}
+std::string Server::MetricsText() const { return impl_->RenderMetrics(); }
 
 std::string Server::SlowLogJson() const { return impl_->RenderSlowLogJson(); }
 

@@ -51,35 +51,48 @@ class Database;
 
 namespace asset::server {
 
-/// Monotonic counters of the server's life, rendered into the metrics
-/// endpoint next to the kernel's (all relaxed atomics; absolute
-/// precision is not worth cache-line traffic on the data path).
-struct ServerStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_rejected{0};
-  std::atomic<uint64_t> connections_closed{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> protocol_errors{0};
-  std::atomic<uint64_t> txns_aborted_on_close{0};
-  std::atomic<uint64_t> idle_closed{0};
-  std::atomic<uint64_t> backpressure_pauses{0};
-  /// kBegin commands shed with kOverloaded by the admission controller.
-  std::atomic<uint64_t> admission_shed{0};
-  /// Commands rejected because their deadline expired before dispatch.
-  std::atomic<uint64_t> deadline_expired{0};
-  /// Commands whose kernel wait hit the deadline mid-flight (each
-  /// aborted its transaction).
-  std::atomic<uint64_t> deadline_timeout_aborts{0};
-  std::atomic<int64_t> connections_active{0};
-  /// Server-wide open transactions across every connection (the
-  /// admission controller's load signal).
-  std::atomic<int64_t> open_txns{0};
+/// Every server counter: X(field, help), exposed as
+/// asset_server_<field>_total.
+#define ASSET_SERVER_COUNTERS(X)                                          \
+  X(connections_accepted, "Connections accepted.")                        \
+  X(connections_rejected, "Connections refused at the max_connections cap.") \
+  X(connections_closed, "Connections closed.")                            \
+  X(frames_in, "Request frames decoded.")                                 \
+  X(frames_out, "Reply frames sent.")                                     \
+  X(bytes_in, "Bytes received.")                                          \
+  X(bytes_out, "Bytes sent.")                                             \
+  X(protocol_errors,                                                      \
+    "Malformed or oversized frames (each closes its connection).")        \
+  X(txns_aborted_on_close,                                                \
+    "Open transactions aborted because their connection went away.")      \
+  X(idle_closed, "Connections closed as idle.")                           \
+  X(backpressure_pauses,                                                  \
+    "Times reading was paused because a send buffer hit its limit.")      \
+  X(admission_shed,                                                       \
+    "Begin commands shed with kOverloaded by admission control.")         \
+  X(deadline_expired,                                                     \
+    "Commands rejected because their deadline expired before dispatch.")  \
+  X(deadline_timeout_aborts,                                              \
+    "Commands whose kernel wait hit the deadline (each aborted its "      \
+    "transaction).")
 
-  /// Prometheus text exposition lines (asset_server_* family).
-  std::string Render() const;
+/// Every server gauge: X(field, help), exposed as asset_server_<field>.
+#define ASSET_SERVER_GAUGES(X)                                            \
+  X(connections_active, "Currently open connections.")                    \
+  /* The admission controller's load signal. */                           \
+  X(open_txns, "Open transactions across all connections.")
+
+/// The server's counters and gauges, rendered into the metrics endpoint
+/// next to the kernel's (all relaxed atomics; absolute precision is not
+/// worth cache-line traffic on the data path).
+struct ServerStats {
+#define ASSET_DECLARE_SERVER_COUNTER(field, help) \
+  std::atomic<uint64_t> field{0};
+  ASSET_SERVER_COUNTERS(ASSET_DECLARE_SERVER_COUNTER)
+#undef ASSET_DECLARE_SERVER_COUNTER
+#define ASSET_DECLARE_SERVER_GAUGE(field, help) std::atomic<int64_t> field{0};
+  ASSET_SERVER_GAUGES(ASSET_DECLARE_SERVER_GAUGE)
+#undef ASSET_DECLARE_SERVER_GAUGE
 };
 
 /// One listening endpoint over one Database.
@@ -157,9 +170,10 @@ class Server {
   const ServerStats& stats() const { return stats_; }
 
   /// The ops endpoint body: kernel metrics (Database::MetricsText)
-  /// plus the asset_server_* family, the per-command stage-latency
-  /// summaries, and the flight-recorder / slow-log state gauges. This
-  /// is exactly what a kMetrics command returns over the wire.
+  /// plus the asset_server_* families — counters and gauges, the
+  /// per-command stage-latency summaries, and the flight-recorder /
+  /// slow-log state. This is exactly what a kMetrics command returns
+  /// over the wire.
   std::string MetricsText() const;
 
   /// The slow-request log as JSON — what a kSlowLog command returns.

@@ -518,24 +518,25 @@ TEST_F(ApiSessionTest, MetricsAndCheckpointCommands) {
   EXPECT_TRUE(session.Execute(Command::Checkpoint()).ok());
 }
 
-TEST_F(ApiSessionTest, HelloAcceptsSupportedVersionRange) {
-  // A v2 peer (the previous release) must still handshake; anything
-  // outside [min, current] must not.
-  for (uint16_t v = kMinProtocolVersion; v <= kProtocolVersion; ++v) {
+TEST_F(ApiSessionTest, HelloAcceptsOnlyCurrentVersion) {
+  // Any other version, v2 included, is refused with a status naming
+  // both versions, and the session stays un-handshaken.
+  for (uint16_t v : {uint16_t{2}, uint16_t{kProtocolVersion + 1}}) {
     ApiSession session(db_.get(), ApiSession::Limits{64, true});
     Command hello = Command::Hello();
     hello.version = v;
     Reply r = session.Execute(hello);
-    ASSERT_TRUE(r.ok()) << "version " << v << ": " << r.message;
-    EXPECT_EQ(r.i64, kProtocolVersion);  // server declares its own
+    EXPECT_EQ(r.code, StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.message, "hello: unsupported protocol version " +
+                             std::to_string(v) + " (server speaks " +
+                             std::to_string(kProtocolVersion) + ")");
+    EXPECT_EQ(session.Execute(Command::Begin()).code,
+              StatusCode::kIllegalState);
   }
   ApiSession session(db_.get(), ApiSession::Limits{64, true});
-  Command too_old = Command::Hello();
-  too_old.version = kMinProtocolVersion - 1;
-  EXPECT_EQ(session.Execute(too_old).code, StatusCode::kInvalidArgument);
-  Command too_new = Command::Hello();
-  too_new.version = kProtocolVersion + 1;
-  EXPECT_EQ(session.Execute(too_new).code, StatusCode::kInvalidArgument);
+  Reply r = session.Execute(Command::Hello());
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(r.i64, kProtocolVersion);  // server declares its own
 }
 
 TEST_F(ApiSessionTest, DumpTraceAndSlowLogCommands) {

@@ -16,20 +16,22 @@ class DeadlockDetectorTest : public ::testing::Test {
     txns_.emplace(tid, std::move(td));
     return raw;
   }
+  std::vector<Tid> Cycle(const TransactionDescriptor* requester) {
+    return DeadlockDetector::WouldDeadlock(requester, txns_);
+  }
   TdTable txns_;
 };
 
 TEST_F(DeadlockDetectorTest, NoEdgesNoDeadlock) {
   auto* a = Add(1);
-  EXPECT_FALSE(DeadlockDetector::WouldDeadlock(a, txns_));
-  EXPECT_TRUE(DeadlockDetector::FindCycle(txns_).empty());
+  EXPECT_TRUE(Cycle(a).empty());
 }
 
 TEST_F(DeadlockDetectorTest, SimpleWaitIsNotDeadlock) {
   auto* a = Add(1);
   Add(2);
   a->waiting_for = {2};
-  EXPECT_FALSE(DeadlockDetector::WouldDeadlock(a, txns_));
+  EXPECT_TRUE(Cycle(a).empty());
 }
 
 TEST_F(DeadlockDetectorTest, TwoCycle) {
@@ -37,9 +39,8 @@ TEST_F(DeadlockDetectorTest, TwoCycle) {
   auto* b = Add(2);
   b->waiting_for = {1};
   a->waiting_for = {2};
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(a, txns_));
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(b, txns_));
-  EXPECT_FALSE(DeadlockDetector::FindCycle(txns_).empty());
+  EXPECT_EQ(Cycle(a), (std::vector<Tid>{1, 2}));
+  EXPECT_EQ(Cycle(b), (std::vector<Tid>{2, 1}));
 }
 
 TEST_F(DeadlockDetectorTest, LongCycleThroughManyTransactions) {
@@ -49,9 +50,26 @@ TEST_F(DeadlockDetectorTest, LongCycleThroughManyTransactions) {
   for (Tid t = 0; t < kN - 1; ++t) tds[t]->waiting_for = {t + 2};
   // Closing edge: last waits for first.
   tds[kN - 1]->waiting_for = {1};
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(tds[0], txns_));
-  auto cycle = DeadlockDetector::FindCycle(txns_);
-  EXPECT_GE(cycle.size(), 2u);
+  std::vector<Tid> all;
+  for (Tid t = 1; t <= kN; ++t) all.push_back(t);
+  EXPECT_EQ(Cycle(tds[0]), all);
+}
+
+TEST_F(DeadlockDetectorTest, ThreeCycleNamesExactlyItsMembersInWaitOrder) {
+  auto* a = Add(1);
+  auto* b = Add(2);
+  auto* c = Add(3);
+  auto* d = Add(4);
+  Add(5);
+  // a -> c -> b -> a, with off-cycle edges that must not be reported:
+  // every member also waits on 5, and d waits into the cycle.
+  c->waiting_for = {5, 2};
+  b->waiting_for = {5, 1};
+  d->waiting_for = {3};
+  a->waiting_for = {5, 3};
+  EXPECT_EQ(Cycle(a), (std::vector<Tid>{1, 3, 2}));
+  EXPECT_EQ(Cycle(c), (std::vector<Tid>{3, 2, 1}));
+  EXPECT_TRUE(Cycle(d).empty());
 }
 
 TEST_F(DeadlockDetectorTest, BranchingWaitsOneBranchCycles) {
@@ -63,9 +81,9 @@ TEST_F(DeadlockDetectorTest, BranchingWaitsOneBranchCycles) {
   b->waiting_for = {3};
   c->waiting_for = {1};
   a->waiting_for = {4, 2};
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(a, txns_));
+  EXPECT_EQ(Cycle(a), (std::vector<Tid>{1, 2, 3}));
   a->waiting_for = {4};  // drop the cyclic branch
-  EXPECT_FALSE(DeadlockDetector::WouldDeadlock(a, txns_));
+  EXPECT_TRUE(Cycle(a).empty());
 }
 
 TEST_F(DeadlockDetectorTest, OffCycleWaiterIsNotAVictim) {
@@ -76,22 +94,21 @@ TEST_F(DeadlockDetectorTest, OffCycleWaiterIsNotAVictim) {
   a->waiting_for = {2};
   b->waiting_for = {1};
   d->waiting_for = {1};
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(a, txns_));
+  EXPECT_EQ(Cycle(a), (std::vector<Tid>{1, 2}));
   // d's own wait does not close a cycle through d.
-  EXPECT_FALSE(DeadlockDetector::WouldDeadlock(d, txns_));
+  EXPECT_TRUE(Cycle(d).empty());
 }
 
 TEST_F(DeadlockDetectorTest, EdgesToUnknownTidsIgnored) {
   auto* a = Add(1);
   a->waiting_for = {99};  // holder already gone
-  EXPECT_FALSE(DeadlockDetector::WouldDeadlock(a, txns_));
-  EXPECT_TRUE(DeadlockDetector::FindCycle(txns_).empty());
+  EXPECT_TRUE(Cycle(a).empty());
 }
 
 TEST_F(DeadlockDetectorTest, SelfWaitIsDeadlock) {
   auto* a = Add(1);
   a->waiting_for = {1};
-  EXPECT_TRUE(DeadlockDetector::WouldDeadlock(a, txns_));
+  EXPECT_EQ(Cycle(a), (std::vector<Tid>{1}));
 }
 
 }  // namespace

@@ -253,15 +253,20 @@ TEST(IntrospectionTest, MetricsTextExposesCountersAndPercentiles) {
   }
   std::string m = db->MetricsText();
   for (const char* key :
-       {"asset_txns_committed", "asset_locks_granted", "asset_wal_appends",
-        "asset_commit_latency_count", "asset_commit_latency_p50_ns",
-        "asset_commit_latency_p95_ns", "asset_commit_latency_p99_ns",
-        "asset_lock_wait_latency_p99_ns", "asset_fsync_latency_p50_ns",
-        "asset_wal_durable_lsn", "# TYPE asset_txns_committed counter"}) {
+       {"asset_txns_committed_total", "asset_locks_granted_total",
+        "asset_wal_appends_total", "asset_commit_latency_ns_count",
+        "asset_commit_latency_ns_sum",
+        "asset_commit_latency_ns{quantile=\"0.5\"}",
+        "asset_commit_latency_ns{quantile=\"0.95\"}",
+        "asset_commit_latency_ns{quantile=\"0.99\"}",
+        "asset_lock_wait_latency_ns{quantile=\"0.99\"}",
+        "asset_fsync_latency_ns{quantile=\"0.5\"}", "asset_wal_durable_lsn",
+        "# TYPE asset_txns_committed_total counter",
+        "# TYPE asset_commit_latency_ns summary"}) {
     EXPECT_NE(m.find(key), std::string::npos) << key;
   }
   // At least one commit was acked, so the commit histogram is non-empty.
-  EXPECT_EQ(m.find("asset_commit_latency_count 0\n"), std::string::npos);
+  EXPECT_EQ(m.find("asset_commit_latency_ns_count 0\n"), std::string::npos);
 }
 
 }  // namespace

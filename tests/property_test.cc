@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <map>
+#include <ostream>
 #include <thread>
 
 #include "common/random.h"
@@ -103,6 +104,15 @@ struct GroupCase {
   uint64_t seed;
 };
 
+// gtest's fallback printer dumps the raw bytes, padding included, so the
+// case name (and the ctest name built from it) would change from run to
+// run. Print the fields instead.
+void PrintTo(const GroupCase& c, std::ostream* os) {
+  *os << "{group_size=" << c.group_size
+      << ", abort_probability=" << c.abort_probability
+      << ", seed=" << c.seed << "}";
+}
+
 class GroupAtomicityProperty : public ::testing::TestWithParam<GroupCase> {};
 
 TEST_P(GroupAtomicityProperty, AllOrNothing) {
@@ -164,6 +174,12 @@ struct ChainCase {
   int chain_length;
   bool final_commits;
 };
+
+// Field-wise, for the same reason as GroupCase.
+void PrintTo(const ChainCase& c, std::ostream* os) {
+  *os << "{chain_length=" << c.chain_length
+      << ", final_commits=" << (c.final_commits ? "true" : "false") << "}";
+}
 
 class DelegationChainProperty : public ::testing::TestWithParam<ChainCase> {
  protected:

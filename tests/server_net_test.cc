@@ -10,7 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -334,6 +338,105 @@ TEST_F(ServerNetTest, MetricsIncludeServerFamily) {
   EXPECT_NE(text.find("asset_server_connections_active"), std::string::npos);
 }
 
+/// One scrape parsed as Prometheus text exposition: each family's type
+/// and header counts, plus the label sets each sample name was seen with.
+struct Exposition {
+  std::map<std::string, std::string> type;
+  std::map<std::string, int> help_lines, type_lines;
+  /// family -> label set without `quantile` -> sample kinds seen
+  /// (`quantile="..."` for quantiles, "_sum", "_count", "" plain).
+  std::map<std::string, std::map<std::string, std::set<std::string>>> seen;
+  std::vector<std::string> errors;
+};
+
+Exposition ParseExposition(const std::string& text) {
+  Exposition e;
+  std::istringstream in(text);
+  std::string line, current;  // current: the family last declared
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string first, name, rest;
+    words >> first;
+    if (first == "#") {
+      std::string kind;
+      words >> kind >> name >> rest;
+      if (kind == "HELP") ++e.help_lines[name];
+      if (kind == "TYPE") {
+        ++e.type_lines[name];
+        e.type[name] = rest;
+      }
+      current = name;
+      continue;
+    }
+    // Labels other than `quantile` name the sample's label set.
+    const size_t brace = first.find('{');
+    name = first.substr(0, brace);
+    std::string labels, part;
+    if (brace != std::string::npos) {
+      std::istringstream pairs(
+          first.substr(brace + 1, first.size() - brace - 2));
+      std::string pair;
+      while (std::getline(pairs, pair, ',')) {
+        (pair.rfind("quantile=", 0) == 0 ? part : labels) += pair + ",";
+      }
+    }
+    for (const char* suffix : {"_sum", "_count"}) {
+      const std::string s(suffix);
+      if (name != current && name.size() > s.size() &&
+          name.compare(name.size() - s.size(), s.size(), s) == 0 &&
+          name.substr(0, name.size() - s.size()) == current) {
+        name = current;
+        part = s;
+      }
+    }
+    if (name != current) {
+      e.errors.push_back("sample outside its family: " + line);
+      continue;
+    }
+    e.seen[name][labels].insert(part);
+  }
+  return e;
+}
+
+TEST_F(ServerNetTest, MetricsExpositionIsWellFormedAndOneStyle) {
+  StartServer();
+  auto c = Connect();
+  ASSERT_TRUE(c->Begin().ok());
+  ASSERT_TRUE(c->Commit().ok());
+  const std::string wire = c->Metrics().value();
+  const std::string local = server_->MetricsText();
+  const Exposition scrapes[] = {ParseExposition(wire),
+                                ParseExposition(local)};
+  for (const Exposition& e : scrapes) {
+    EXPECT_TRUE(e.errors.empty()) << e.errors.front();
+    ASSERT_FALSE(e.type.empty());
+    for (const auto& [family, type] : e.type) {
+      // One header per family, so no family name repeats.
+      EXPECT_EQ(e.help_lines.at(family), 1) << family;
+      EXPECT_EQ(e.type_lines.at(family), 1) << family;
+      if (family.size() < 3 ||
+          family.compare(family.size() - 3, 3, "_ns") != 0) {
+        continue;
+      }
+      // Every latency family is a summary: three quantiles plus _sum
+      // and _count for each label set.
+      EXPECT_EQ(type, "summary") << family;
+      ASSERT_TRUE(e.seen.count(family)) << family;
+      for (const auto& [labels, parts] : e.seen.at(family)) {
+        EXPECT_EQ(parts, (std::set<std::string>{
+                             "quantile=\"0.5\",", "quantile=\"0.95\",",
+                             "quantile=\"0.99\",", "_sum", "_count"}))
+            << family << labels;
+      }
+    }
+    EXPECT_EQ(e.help_lines.size(), e.type.size());
+  }
+  // The wire reply and the in-process scrape are one scrape.
+  EXPECT_EQ(scrapes[0].type, scrapes[1].type);
+  EXPECT_TRUE(scrapes[1].seen.at("asset_server_stage_ns")
+                  .count("command=\"begin\",stage=\"execute\","));
+}
+
 TEST_F(ServerNetTest, GracefulShutdownAbortsInFlightSessions) {
   StartServer();
   auto c = Connect();
@@ -362,7 +465,7 @@ TEST_F(ServerNetTest, IdleConnectionsAreReaped) {
 
 // --- Wire tracing (docs/OBSERVABILITY.md) -----------------------------
 
-TEST_F(ServerNetTest, V2HelloWithoutTraceStillAccepted) {
+TEST_F(ServerNetTest, V2HelloIsRejectedWithClearStatus) {
   StartServer();
   RawConn raw(server_->port());
   Command hello = Command::Hello();
@@ -370,13 +473,16 @@ TEST_F(ServerNetTest, V2HelloWithoutTraceStillAccepted) {
   raw.SendCommand(hello);
   auto r = raw.ReadReply();
   ASSERT_TRUE(r.has_value());
-  ASSERT_TRUE(r->ok());
-  // The server states its own version; a v2 peer just ignores it.
-  EXPECT_EQ(r->i64, api::kProtocolVersion);
+  EXPECT_EQ(r->code, StatusCode::kInvalidArgument);
+  EXPECT_NE(r->message.find("unsupported protocol version 2 (server "
+                            "speaks 3)"),
+            std::string::npos)
+      << r->message;
+  // The connection stays un-handshaken: nothing else is served.
   raw.SendCommand(Command::Begin());
   auto begin = raw.ReadReply();
   ASSERT_TRUE(begin.has_value());
-  EXPECT_TRUE(begin->ok());
+  EXPECT_EQ(begin->code, StatusCode::kIllegalState);
 }
 
 TEST_F(ServerNetTest, StageSpansShareWireTraceId) {
