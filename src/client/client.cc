@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "api/wire.h"
-#include "common/socket_io.h"
+#include "common/sys_io.h"
 
 namespace asset::client {
 

@@ -8,10 +8,11 @@ ContingentTransaction& ContingentTransaction::AddAlternative(
   return *this;
 }
 
-int ContingentTransaction::Run(TransactionManager& tm) {
+int RunFirstToCommit(TransactionManager& tm,
+                     const std::vector<std::function<void()>>& alternatives) {
   // t1 = initiate(f1); begin(t1); if (commit(t1)); else { t2 = ... }
-  for (size_t i = 0; i < alternatives_.size(); ++i) {
-    Tid t = tm.InitiateFn(alternatives_[i]);
+  for (size_t i = 0; i < alternatives.size(); ++i) {
+    Tid t = tm.InitiateFn(alternatives[i]);
     if (t == kNullTid) continue;
     if (!tm.Begin(t)) continue;
     if (tm.Commit(t)) return static_cast<int>(i);

@@ -14,16 +14,23 @@
 
 namespace asset::models {
 
+/// Runs `alternatives` in order until one commits — the §3.1.3 loop,
+/// shared by ContingentTransaction and ordered workflow steps. Returns
+/// the 0-based index of the committed alternative, or -1 if every
+/// alternative aborted.
+int RunFirstToCommit(TransactionManager& tm,
+                     const std::vector<std::function<void()>>& alternatives);
+
 /// Builder for one contingent transaction.
 class ContingentTransaction {
  public:
   /// Adds the next alternative.
   ContingentTransaction& AddAlternative(std::function<void()> body);
 
-  /// Runs alternatives in order until one commits. Returns the 0-based
-  /// index of the committed alternative, or -1 if every alternative
-  /// aborted.
-  int Run(TransactionManager& tm);
+  /// RunFirstToCommit over the alternatives added so far.
+  int Run(TransactionManager& tm) {
+    return RunFirstToCommit(tm, alternatives_);
+  }
 
  private:
   std::vector<std::function<void()>> alternatives_;

@@ -4,6 +4,17 @@
 
 namespace asset::models {
 
+bool CompensateUntilCommitted(TransactionManager& tm,
+                              const std::function<void()>& compensation,
+                              int max_attempts) {
+  for (int attempts = 0; max_attempts <= 0 || attempts < max_attempts;
+       ++attempts) {
+    Tid ct = tm.InitiateFn(compensation);
+    if (ct != kNullTid && tm.Begin(ct) && tm.Commit(ct)) return true;
+  }
+  return false;
+}
+
 Saga& Saga::AddStep(std::function<void()> action,
                     std::function<void()> compensation) {
   steps_.push_back(Step{std::move(action), std::move(compensation)});
@@ -35,16 +46,9 @@ Saga::Outcome Saga::Run(TransactionManager& tm,
   // until it commits.
   for (size_t k = outcome.steps_committed; k-- > 0;) {
     if (!steps_[k].compensation) continue;
-    int attempts = 0;
-    for (;;) {
-      Tid ct = tm.InitiateFn(steps_[k].compensation);
-      bool ok = ct != kNullTid && tm.Begin(ct) && tm.Commit(ct);
-      if (ok) break;
-      if (max_compensation_attempts > 0 &&
-          ++attempts >= max_compensation_attempts) {
-        // Give up; the outcome still reports how far we got.
-        return outcome;
-      }
+    if (!CompensateUntilCommitted(tm, steps_[k].compensation,
+                                  max_compensation_attempts)) {
+      break;  // gave up; the outcome still reports how far we got
     }
     outcome.compensations_run++;
   }

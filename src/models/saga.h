@@ -27,6 +27,18 @@ class Database;
 
 namespace asset::models {
 
+/// Default bound on the paper's unbounded compensation retry loop, so a
+/// compensation that can never commit (it always aborts, or the
+/// transaction table stays full) cannot hang the caller.
+inline constexpr int kMaxCompensationAttempts = 100;
+
+/// Runs `compensation` as a transaction until it commits, at most
+/// `max_attempts` times (0 = retry forever). True iff it committed.
+/// Sagas and workflows both compensate through this loop.
+bool CompensateUntilCommitted(TransactionManager& tm,
+                              const std::function<void()>& compensation,
+                              int max_attempts = kMaxCompensationAttempts);
+
 /// Builder and runner for one saga.
 class Saga {
  public:
@@ -48,11 +60,13 @@ class Saga {
     size_t compensations_run = 0;
   };
 
-  /// Executes the saga. `max_compensation_attempts` bounds the paper's
-  /// unbounded retry loop so a permanently failing compensation cannot
-  /// hang the caller (0 = retry forever).
-  Outcome Run(TransactionManager& tm, int max_compensation_attempts = 100);
-  Outcome Run(Database& db, int max_compensation_attempts = 100);
+  /// Executes the saga. Each compensation runs through
+  /// CompensateUntilCommitted with `max_compensation_attempts`; one that
+  /// gives up ends the compensation phase.
+  Outcome Run(TransactionManager& tm,
+              int max_compensation_attempts = kMaxCompensationAttempts);
+  Outcome Run(Database& db,
+              int max_compensation_attempts = kMaxCompensationAttempts);
 
   size_t size() const { return steps_.size(); }
 

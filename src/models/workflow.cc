@@ -1,6 +1,8 @@
 #include "models/workflow.h"
 
 #include "core/database_internal.h"
+#include "models/contingent.h"
+#include "models/saga.h"
 
 #include <thread>
 
@@ -27,18 +29,6 @@ Workflow& Workflow::AddOptional(std::string name, Task task) {
   s.alternatives.push_back(std::move(task));
   s.required = false;
   return AddStep(std::move(s));
-}
-
-int Workflow::RunOrdered(TransactionManager& tm, const Step& step) {
-  // The appendix flight cascade: initiate/begin/commit each alternative
-  // until one commits.
-  for (size_t i = 0; i < step.alternatives.size(); ++i) {
-    Tid t = tm.InitiateFn(step.alternatives[i]);
-    if (t == kNullTid) continue;
-    if (!tm.Begin(t)) continue;
-    if (tm.Commit(t)) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 int Workflow::RunRace(TransactionManager& tm, const Step& step) {
@@ -81,7 +71,8 @@ int Workflow::RunRace(TransactionManager& tm, const Step& step) {
 }
 
 int Workflow::RunStep(TransactionManager& tm, const Step& step) {
-  return step.mode == Mode::kOrdered ? RunOrdered(tm, step)
+  // kOrdered is the appendix flight cascade: a contingent transaction.
+  return step.mode == Mode::kOrdered ? RunFirstToCommit(tm, step.alternatives)
                                      : RunRace(tm, step);
 }
 
@@ -101,15 +92,13 @@ Workflow::Outcome Workflow::Run(TransactionManager& tm) {
     }
     if (!step.required) continue;  // the car: the trip proceeds anyway
     // A required step failed: compensate the committed required prefix
-    // in reverse order, retrying each compensation until it commits.
+    // in reverse order, each compensation retried until it commits or
+    // gives up (which ends the compensation phase, as in a saga).
     outcome.failed_step = step.name;
     for (size_t k = committed_required.size(); k-- > 0;) {
       const Step& done = steps_[committed_required[k]];
       if (!done.compensation) continue;
-      for (;;) {
-        Tid ct = tm.InitiateFn(done.compensation);
-        if (ct != kNullTid && tm.Begin(ct) && tm.Commit(ct)) break;
-      }
+      if (!CompensateUntilCommitted(tm, done.compensation)) break;
       outcome.compensations_run++;
     }
     outcome.succeeded = false;

@@ -10,9 +10,10 @@
 /// completion winning (National vs Avis). Steps may carry a
 /// compensation; when a *required* step fails, the committed required
 /// prefix is compensated in reverse order, each compensation retried
-/// until it commits (cancel_flight_reservation). Optional steps may fail
-/// without dooming the workflow (the rental car: "X can take public
-/// transportation").
+/// until it commits (cancel_flight_reservation) — up to the saga bound,
+/// kMaxCompensationAttempts, after which compensation stops. Optional
+/// steps may fail without dooming the workflow (the rental car: "X can
+/// take public transportation").
 ///
 /// This class is the reusable engine; examples/travel_workflow.cc
 /// instantiates the paper's X_conference program with it, and the paper
@@ -76,7 +77,8 @@ class Workflow {
     /// True iff every required step committed.
     bool succeeded = false;
     std::vector<StepOutcome> steps;
-    /// Compensations executed (each retried until committed).
+    /// Compensations that committed. Fewer than the committed required
+    /// steps with a compensation when one gave up.
     size_t compensations_run = 0;
     /// Name of the required step that failed, empty on success.
     std::string failed_step;
@@ -90,7 +92,6 @@ class Workflow {
  private:
   /// Runs one step; returns the winning alternative index or -1.
   int RunStep(TransactionManager& tm, const Step& step);
-  int RunOrdered(TransactionManager& tm, const Step& step);
   int RunRace(TransactionManager& tm, const Step& step);
 
   std::vector<Step> steps_;

@@ -26,7 +26,7 @@
 #include "api/wire.h"
 #include "common/exposition.h"
 #include "common/histogram.h"
-#include "common/socket_io.h"
+#include "common/sys_io.h"
 #include "common/trace.h"
 #include "core/database.h"
 

@@ -9,7 +9,7 @@
 #include <cstring>
 #include <utility>
 
-#include "storage/io_util.h"
+#include "common/sys_io.h"
 
 namespace asset {
 
@@ -210,7 +210,7 @@ Result<LogRecord> LogRecord::DecodeFrom(const std::vector<uint8_t>& data,
 }
 
 LogManager::LogManager(FlushMode mode)
-    : mode_(mode), io_status_(Status::OK()), injected_error_(Status::OK()) {
+    : mode_(mode), io_status_(Status::OK()) {
   if (mode_ == FlushMode::kGrouped) {
     flusher_ = std::thread([this] { FlusherMain(); });
   }
@@ -241,12 +241,8 @@ Status LogManager::AttachFile(const std::string& path) {
     return Status::IOError("lseek: " + std::string(std::strerror(errno)));
   }
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0) {
-    ssize_t n = ::pread(fd_, bytes.data(), bytes.size(), 0);
-    if (n != size) {
-      return Status::IOError("short read of log file");
-    }
-  }
+  Status read = PreadFully(fd_, bytes.data(), bytes.size(), 0, "log file");
+  if (!read.ok()) return read;
   size_t off = 0;
   size_t good_end = 0;
   for (;;) {
@@ -381,11 +377,6 @@ void LogManager::FlusherMain() {
         requested_lsn_, truncated_ + static_cast<Lsn>(records_.size()));
     if (target <= from) continue;
 
-    if (!injected_error_.ok()) {
-      Status err = std::exchange(injected_error_, Status::OK());
-      CompleteFlushLocked(from, target, 0, err, false);
-      continue;
-    }
     if (fd_ < 0) {
       // No device: the batch becomes durable by fiat.
       CompleteFlushLocked(from, target, 0, Status::OK(), false);
@@ -397,7 +388,6 @@ void LogManager::FlusherMain() {
                                buf_.begin() + static_cast<ptrdiff_t>(hi));
     const off_t write_at = file_end_;
     const int fd = fd_;
-    std::function<void()> hook = fsync_hook_;
     flush_in_progress_ = true;
     lk.unlock();
 
@@ -406,10 +396,7 @@ void LogManager::FlusherMain() {
     const int64_t io_start_ns = FlightRecorder::NowNs();
     Status io = PwriteFully(fd, batch.data(), batch.size(), write_at,
                             "log file");
-    if (io.ok()) {
-      if (hook) hook();
-      io = FsyncRetry(fd);
-    }
+    if (io.ok()) io = FsyncRetry(fd);
     const int64_t io_ns = FlightRecorder::NowNs() - io_start_ns;
 
     lk.lock();
@@ -485,11 +472,6 @@ void LogManager::CompleteFlushLocked(Lsn from, Lsn target, size_t nbytes,
 }
 
 Status LogManager::FlushInlineLocked(Lsn target) {
-  if (!injected_error_.ok()) {
-    Status err = std::exchange(injected_error_, Status::OK());
-    CompleteFlushLocked(durable_lsn_, target, 0, err, false);
-    return io_status_;
-  }
   if (fd_ < 0) {
     CompleteFlushLocked(durable_lsn_, target, 0, Status::OK(), false);
     return Status::OK();
@@ -498,10 +480,7 @@ Status LogManager::FlushInlineLocked(Lsn target) {
   const int64_t io_start_ns = FlightRecorder::NowNs();
   Status io = PwriteFully(fd_, buf_.data() + lo, hi - lo, file_end_,
                           "log file");
-  if (io.ok()) {
-    if (fsync_hook_) fsync_hook_();
-    io = FsyncRetry(fd_);
-  }
+  if (io.ok()) io = FsyncRetry(fd_);
   const int64_t io_ns = FlightRecorder::NowNs() - io_start_ns;
   CompleteFlushLocked(durable_lsn_, target, hi - lo, io, /*did_sync=*/io.ok(),
                       io_ns);
@@ -716,16 +695,6 @@ void LogManager::UnbindStats(const WalStatsSink& sink) {
       sink_.recorder == sink.recorder) {
     sink_ = WalStatsSink{};
   }
-}
-
-void LogManager::InjectFlushErrorForTest(Status error) {
-  std::lock_guard<std::mutex> g(mu_);
-  injected_error_ = std::move(error);
-}
-
-void LogManager::SetFsyncHookForTest(std::function<void()> hook) {
-  std::lock_guard<std::mutex> g(mu_);
-  fsync_hook_ = std::move(hook);
 }
 
 std::thread::id LogManager::flusher_thread_id_for_test() const {

@@ -41,7 +41,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -331,17 +330,6 @@ class LogManager {
   void BindStats(const WalStatsSink& sink);
   void UnbindStats(const WalStatsSink& sink);
 
-  // --- Test hooks -------------------------------------------------------
-
-  /// Makes the next flush attempt fail with `error` instead of touching
-  /// the device, as a failing disk would. The error then sticks.
-  void InjectFlushErrorForTest(Status error);
-
-  /// Invoked immediately before each fsync, on the thread that issues
-  /// it. Tests use this to assert *where* fsyncs happen (the flusher
-  /// thread, never a thread inside the kernel).
-  void SetFsyncHookForTest(std::function<void()> hook);
-
   /// Identity of the flusher thread (kGrouped mode only).
   std::thread::id flusher_thread_id_for_test() const;
 
@@ -388,8 +376,6 @@ class LogManager {
   Lsn requested_lsn_ = kNullLsn;
   /// Sticky: first flush failure; OK while the log is healthy.
   Status io_status_;
-  /// Consumed by the next flush attempt (test fault injection).
-  Status injected_error_;
   bool flush_in_progress_ = false;
   bool stop_ = false;
   /// Bumped by SimulateCrash; lets sleeping durability waiters detect
@@ -420,7 +406,6 @@ class LogManager {
   Lsn buf_first_ = kNullLsn;
 
   WalStatsSink sink_;
-  std::function<void()> fsync_hook_;
   std::thread flusher_;
 };
 

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "kernel_fixture.h"
+#include "models/saga.h"
 #include "models/workflow.h"
 
 namespace asset {
@@ -84,6 +85,26 @@ TEST_F(WorkflowModelTest, RequiredFailureCompensatesCommittedPrefix) {
   EXPECT_EQ(out.failed_step, "hotel");
   EXPECT_EQ(out.compensations_run, 1u);
   EXPECT_EQ(ReadCommitted(flight), "cancelled");
+}
+
+// A compensation that always aborts must not spin forever: it is
+// retried up to the saga bound, then the workflow reports failure.
+TEST_F(WorkflowModelTest, CompensationThatNeverCommitsGivesUp) {
+  std::atomic<int> attempts{0};
+  models::Workflow wf;
+  wf.AddRequired(
+      "flight", [] {},
+      [&] {
+        attempts.fetch_add(1);
+        tm_->Abort(TransactionManager::Self());
+      });
+  wf.AddRequired("hotel",
+                 [&] { tm_->Abort(TransactionManager::Self()); });
+  auto out = wf.Run(*tm_);
+  EXPECT_FALSE(out.succeeded);
+  EXPECT_EQ(out.failed_step, "hotel");
+  EXPECT_EQ(out.compensations_run, 0u);  // never actually committed
+  EXPECT_EQ(attempts.load(), models::kMaxCompensationAttempts);
 }
 
 TEST_F(WorkflowModelTest, OptionalFailureDoesNotAbortWorkflow) {

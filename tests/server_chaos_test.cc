@@ -1,9 +1,9 @@
 // Wire-level fault injection against a real server (docs/ROBUSTNESS.md).
 //
 // Every scenario here drives the stock Server + Client through the
-// SocketHooks seam (common/socket_io.h): partial transfers, EINTR
-// storms, stalls past the deadline, resets mid-batch, and admission
-// sheds. The invariants under test are the robustness layer's
+// syscall fault-injection seam (common/sys_io.h): partial transfers,
+// EINTR storms, stalls past the deadline, resets mid-batch, and
+// admission sheds. The invariants under test are the robustness layer's
 // promises: no call hangs forever, a deadline or disconnect aborts the
 // affected transaction exactly once, and the asset_server_* metrics
 // account for every outcome.
@@ -26,7 +26,7 @@
 
 #include "api/command.h"
 #include "client/client.h"
-#include "common/socket_io.h"
+#include "common/sys_io.h"
 #include "common/trace.h"
 #include "core/database.h"
 #include "server/server.h"
@@ -122,7 +122,7 @@ TEST_F(ServerChaosTest, PartialWritesAndShortReadsMidFrame) {
   // Clamp every transfer to a handful of bytes and serve EINTR every
   // third call: frames fragment at arbitrary boundaries on both ends.
   std::atomic<uint64_t> calls{0};
-  SocketHooks hooks;
+  IoHooks hooks;
   hooks.send = [&calls](int fd, const void* buf, size_t len, int flags) {
     uint64_t n = calls.fetch_add(1, std::memory_order_relaxed);
     if (n % 3 == 2) {
@@ -140,7 +140,7 @@ TEST_F(ServerChaosTest, PartialWritesAndShortReadsMidFrame) {
     return ::recv(fd, buf, std::min<size_t>(len, 5), flags);
   };
   {
-    ScopedSocketHooks guard(&hooks);
+    ScopedIoHooks guard(&hooks);
     auto c = Connect();
     ASSERT_TRUE(c->Begin().ok());
     auto oid = c->Create({1, 2, 3, 4, 5, 6, 7, 8});
@@ -397,7 +397,7 @@ TEST_F(ServerChaosTest, ThousandFaultedTransactionsNoHangsNoLeaks) {
   // every transfer is clamped, every 5th call takes EINTR, every 64th
   // stalls a moment. No call in the loop may hang or fail.
   std::atomic<uint64_t> calls{0};
-  SocketHooks hooks;
+  IoHooks hooks;
   auto fault = [&calls](size_t len) -> ssize_t {
     uint64_t n = calls.fetch_add(1, std::memory_order_relaxed);
     if (n % 5 == 4) {
@@ -421,7 +421,7 @@ TEST_F(ServerChaosTest, ThousandFaultedTransactionsNoHangsNoLeaks) {
     return ::recv(fd, buf, static_cast<size_t>(budget), flags);
   };
   {
-    ScopedSocketHooks guard(&hooks);
+    ScopedIoHooks guard(&hooks);
     Client::Options copts;
     copts.io_timeout = std::chrono::seconds(10);
     copts.default_deadline_ms = 5000;

@@ -10,11 +10,11 @@
 #include <cstring>
 #include <numeric>
 
+#include "common/sys_io.h"
 #include "core/database.h"
 #include "core/database_internal.h"
 #include "kernel_fixture.h"
 #include "models/atomic.h"
-#include "storage/io_util.h"
 #include "storage/recovery.h"
 
 namespace asset {
@@ -102,12 +102,13 @@ TEST(FaultTest, CommittedDataSurvivesTransientWritebackFaults) {
   });
 }
 
-// --- EINTR / short-transfer retry loops (io_util + FileDiskManager) ------
+// --- EINTR / short-transfer retry loops (sys_io + FileDiskManager) -------
 
 TEST(IoRetryTest, PwriteFullyRetriesEintrAndShortWrites) {
   std::vector<uint8_t> dest(64, 0);
   int eintrs = 2;
-  PwriteFn fn = [&](int, const void* buf, size_t len, off_t off) -> ssize_t {
+  IoHooks hooks;
+  hooks.pwrite = [&](int, const void* buf, size_t len, off_t off) -> ssize_t {
     if (eintrs > 0) {
       --eintrs;
       errno = EINTR;
@@ -117,9 +118,10 @@ TEST(IoRetryTest, PwriteFullyRetriesEintrAndShortWrites) {
     std::memcpy(dest.data() + off, buf, n);
     return static_cast<ssize_t>(n);
   };
+  ScopedIoHooks guard(&hooks);
   std::vector<uint8_t> src(10);
   std::iota(src.begin(), src.end(), uint8_t{1});
-  ASSERT_TRUE(PwriteFully(-1, src.data(), src.size(), 5, "test", fn).ok());
+  ASSERT_TRUE(PwriteFully(-1, src.data(), src.size(), 5, "test").ok());
   EXPECT_EQ(eintrs, 0);
   EXPECT_TRUE(std::equal(src.begin(), src.end(), dest.begin() + 5));
 }
@@ -128,7 +130,8 @@ TEST(IoRetryTest, PreadFullyRetriesEintrAndShortReads) {
   std::vector<uint8_t> src(32);
   std::iota(src.begin(), src.end(), uint8_t{0});
   int eintrs = 1;
-  PreadFn fn = [&](int, void* buf, size_t len, off_t off) -> ssize_t {
+  IoHooks hooks;
+  hooks.pread = [&](int, void* buf, size_t len, off_t off) -> ssize_t {
     if (eintrs > 0) {
       --eintrs;
       errno = EINTR;
@@ -138,33 +141,38 @@ TEST(IoRetryTest, PreadFullyRetriesEintrAndShortReads) {
     std::memcpy(buf, src.data() + off, n);
     return static_cast<ssize_t>(n);
   };
+  ScopedIoHooks guard(&hooks);
   std::vector<uint8_t> out(16, 0xff);
-  ASSERT_TRUE(PreadFully(-1, out.data(), out.size(), 8, "test", fn).ok());
+  ASSERT_TRUE(PreadFully(-1, out.data(), out.size(), 8, "test").ok());
   EXPECT_TRUE(std::equal(out.begin(), out.end(), src.begin() + 8));
 }
 
 TEST(IoRetryTest, ZeroByteTransfersAreErrorsNotLoops) {
-  PreadFn eof = [](int, void*, size_t, off_t) -> ssize_t { return 0; };
-  EXPECT_EQ(PreadFully(-1, nullptr, 8, 0, "test", eof).code(),
+  IoHooks hooks;
+  hooks.pread = [](int, void*, size_t, off_t) -> ssize_t { return 0; };
+  hooks.pwrite = [](int, const void*, size_t, off_t) -> ssize_t { return 0; };
+  ScopedIoHooks guard(&hooks);
+  EXPECT_EQ(PreadFully(-1, nullptr, 8, 0, "test").code(),
             StatusCode::kIOError);
-  PwriteFn full = [](int, const void*, size_t, off_t) -> ssize_t { return 0; };
-  EXPECT_EQ(PwriteFully(-1, nullptr, 8, 0, "test", full).code(),
+  EXPECT_EQ(PwriteFully(-1, nullptr, 8, 0, "test").code(),
             StatusCode::kIOError);
 }
 
 TEST(IoRetryTest, NonEintrErrnoSurfaces) {
-  PwriteFn fn = [](int, const void*, size_t, off_t) -> ssize_t {
+  IoHooks hooks;
+  hooks.pwrite = [](int, const void*, size_t, off_t) -> ssize_t {
     errno = ENOSPC;
     return -1;
   };
-  Status s = PwriteFully(-1, nullptr, 8, 0, "device extension", fn);
+  ScopedIoHooks guard(&hooks);
+  Status s = PwriteFully(-1, nullptr, 8, 0, "device extension");
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_NE(s.message().find("device extension"), std::string::npos);
 }
 
 // Regression (satellite): a signal-interrupted or short page transfer
 // must not corrupt page I/O — FileDiskManager retries to the full
-// kPageSize through its injectable syscall wrappers.
+// kPageSize through the full-transfer wrappers.
 TEST(FaultTest, FileDiskManagerSurvivesEintrAndShortTransfers) {
   std::string path = ::testing::TempDir() + "/asset_eintr_disk.db";
   std::remove(path.c_str());
@@ -174,21 +182,23 @@ TEST(FaultTest, FileDiskManagerSurvivesEintrAndShortTransfers) {
   // Wrap the real syscalls: fail every third call with EINTR, cap every
   // transfer at 1000 bytes (so each page needs several rounds).
   int calls = 0;
-  disk.SetIoFnsForTest(
-      [&](int fd, void* buf, size_t len, off_t off) -> ssize_t {
-        if (++calls % 3 == 0) {
-          errno = EINTR;
-          return -1;
-        }
-        return ::pread(fd, buf, std::min<size_t>(len, 1000), off);
-      },
-      [&](int fd, const void* buf, size_t len, off_t off) -> ssize_t {
-        if (++calls % 3 == 0) {
-          errno = EINTR;
-          return -1;
-        }
-        return ::pwrite(fd, buf, std::min<size_t>(len, 1000), off);
-      });
+  IoHooks hooks;
+  hooks.pread = [&](int fd, void* buf, size_t len, off_t off) -> ssize_t {
+    if (++calls % 3 == 0) {
+      errno = EINTR;
+      return -1;
+    }
+    return ::pread(fd, buf, std::min<size_t>(len, 1000), off);
+  };
+  hooks.pwrite = [&](int fd, const void* buf, size_t len,
+                     off_t off) -> ssize_t {
+    if (++calls % 3 == 0) {
+      errno = EINTR;
+      return -1;
+    }
+    return ::pwrite(fd, buf, std::min<size_t>(len, 1000), off);
+  };
+  ScopedIoHooks guard(&hooks);
 
   auto pid = disk.AllocatePage();
   ASSERT_TRUE(pid.ok());
@@ -205,7 +215,33 @@ TEST(FaultTest, FileDiskManagerSurvivesEintrAndShortTransfers) {
 
   // The faulty transport was exercised, not bypassed.
   EXPECT_GT(calls, 8);
-  disk.SetIoFnsForTest(nullptr, nullptr);
+  std::remove(path.c_str());
+}
+
+// A signal-interrupted fsync is not a device failure: Sync retries it.
+TEST(FaultTest, FileDiskManagerSyncRetriesEintr) {
+  std::string path = ::testing::TempDir() + "/asset_eintr_sync.db";
+  std::remove(path.c_str());
+  FileDiskManager disk(path);
+  ASSERT_TRUE(disk.status().ok());
+  ASSERT_TRUE(disk.AllocatePage().ok());
+
+  int eintrs = 1;
+  int fsyncs = 0;
+  IoHooks hooks;
+  hooks.fsync = [&](int fd) {
+    ++fsyncs;
+    if (eintrs > 0) {
+      --eintrs;
+      errno = EINTR;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  ScopedIoHooks guard(&hooks);
+  EXPECT_TRUE(disk.Sync().ok());
+  EXPECT_EQ(eintrs, 0);
+  EXPECT_EQ(fsyncs, 2);  // the interrupted call, then the real one
   std::remove(path.c_str());
 }
 

@@ -4,8 +4,10 @@
 // surfacing, crash mid-group-commit).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/sys_io.h"
 #include "core/database.h"
 #include "core/database_internal.h"
 #include "storage/wal.h"
@@ -31,6 +34,53 @@ LogRecord UpdateRec(Tid tid, ObjectId oid, std::string before,
   r.after.assign(after.begin(), after.end());
   return r;
 }
+
+/// True iff `fd` is open on the file at `path`: hooks see fds, tests
+/// know paths.
+bool IsFile(int fd, const std::string& path) {
+  struct stat a, b;
+  return ::fstat(fd, &a) == 0 && ::stat(path.c_str(), &b) == 0 &&
+         a.st_dev == b.st_dev && a.st_ino == b.st_ino;
+}
+
+/// Once armed, fails the next pwrite to the file at `path` with EIO, as
+/// a failing disk would. Every other call reaches the real syscall.
+struct FailNextWrite {
+  explicit FailNextWrite(std::string p) : path(std::move(p)) {
+    hooks.pwrite = [this](int fd, const void* buf, size_t len,
+                          off_t off) -> ssize_t {
+      if (armed.load() && IsFile(fd, path) && armed.exchange(false)) {
+        errno = EIO;
+        return -1;
+      }
+      return ::pwrite(fd, buf, len, off);
+    };
+  }
+  const std::string path;
+  std::atomic<bool> armed{false};
+  IoHooks hooks;
+};
+
+/// Records the thread of every fsync of the file at `path`.
+struct FsyncThreads {
+  explicit FsyncThreads(std::string p) : path(std::move(p)) {
+    hooks.fsync = [this](int fd) {
+      if (IsFile(fd, path)) {
+        std::lock_guard<std::mutex> g(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      return ::fsync(fd);
+    };
+  }
+  std::set<std::thread::id> Get() {
+    std::lock_guard<std::mutex> g(mu);
+    return threads;
+  }
+  const std::string path;
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  IoHooks hooks;
+};
 
 TEST(LogRecordTest, EncodeDecodeRoundTrip) {
   LogRecord r = UpdateRec(3, 14, "old", "new");
@@ -292,10 +342,12 @@ TEST(LogManagerTest, WaitDurableHonorsTheExactBoundary) {
 TEST(LogFileTest, FlushErrorSurfacesToWaitersAndSticks) {
   std::string path = ::testing::TempDir() + "/asset_wal_ioerr.wal";
   std::remove(path.c_str());
+  FailNextWrite fault(path);
+  ScopedIoHooks guard(&fault.hooks);
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path).ok());
   Lsn lsn = log.Append(UpdateRec(1, 1, "a", "b"));
-  log.InjectFlushErrorForTest(Status::IOError("injected device failure"));
+  fault.armed = true;
   Status s = log.Flush(lsn);
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_EQ(log.durable_lsn(), 0u);  // the boundary must not advance
@@ -310,12 +362,14 @@ TEST(LogFileTest, FlushErrorSurfacesToWaitersAndSticks) {
 TEST(LogFileTest, RequestFlushSurfacesTheStickyError) {
   std::string path = ::testing::TempDir() + "/asset_wal_reqerr.wal";
   std::remove(path.c_str());
+  FailNextWrite fault(path);
+  ScopedIoHooks guard(&fault.hooks);
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path).ok());
   Lsn ok_lsn = log.Append(UpdateRec(1, 1, "", "a"));
   ASSERT_TRUE(log.Flush(ok_lsn).ok());
   Lsn lost = log.Append(UpdateRec(1, 1, "a", "b"));
-  log.InjectFlushErrorForTest(Status::IOError("injected device failure"));
+  fault.armed = true;
   EXPECT_EQ(log.Flush(lost).code(), StatusCode::kIOError);
   // The no-wait nudge reports the same sticky failure: a relaxed-mode
   // commit ack must not read as OK when nothing can ever become durable
@@ -332,15 +386,14 @@ TEST(LogFileTest, SynchronousModeFlushesOnTheCallingThread) {
   std::string path = ::testing::TempDir() + "/asset_wal_syncmode.wal";
   std::remove(path.c_str());
   {
+    FsyncThreads fsyncs(path);
+    ScopedIoHooks guard(&fsyncs.hooks);
     LogManager log(LogManager::FlushMode::kSynchronous);
     ASSERT_TRUE(log.AttachFile(path).ok());
-    std::set<std::thread::id> fsync_threads;
-    log.SetFsyncHookForTest(
-        [&] { fsync_threads.insert(std::this_thread::get_id()); });
     log.Append(UpdateRec(1, 5, "a", "b"));
     Lsn lsn = log.Append(UpdateRec(1, 5, "b", "c"));
     ASSERT_TRUE(log.Flush(lsn).ok());
-    EXPECT_EQ(fsync_threads,
+    EXPECT_EQ(fsyncs.Get(),
               std::set<std::thread::id>{std::this_thread::get_id()});
   }
   // The synchronous mode writes the same on-disk format.
@@ -354,14 +407,10 @@ TEST(LogFileTest, SynchronousModeFlushesOnTheCallingThread) {
 TEST(LogFileTest, GroupedFsyncsRunOnlyOnTheFlusherThread) {
   std::string path = ::testing::TempDir() + "/asset_wal_flusher.wal";
   std::remove(path.c_str());
+  FsyncThreads fsyncs(path);
+  ScopedIoHooks guard(&fsyncs.hooks);
   LogManager log;
   ASSERT_TRUE(log.AttachFile(path).ok());
-  std::mutex mu;
-  std::set<std::thread::id> fsync_threads;
-  log.SetFsyncHookForTest([&] {
-    std::lock_guard<std::mutex> g(mu);
-    fsync_threads.insert(std::this_thread::get_id());
-  });
   constexpr int kThreads = 8, kPer = 50;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -375,9 +424,8 @@ TEST(LogFileTest, GroupedFsyncsRunOnlyOnTheFlusherThread) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(log.durable_lsn(), static_cast<Lsn>(kThreads * kPer));
   // Every fsync was issued by the dedicated flusher — never a waiter.
-  std::lock_guard<std::mutex> g(mu);
-  ASSERT_EQ(fsync_threads.size(), 1u);
-  EXPECT_EQ(*fsync_threads.begin(), log.flusher_thread_id_for_test());
+  EXPECT_EQ(fsyncs.Get(),
+            std::set<std::thread::id>{log.flusher_thread_id_for_test()});
   std::remove(path.c_str());
 }
 
@@ -464,18 +512,13 @@ TEST(WalPipelineTest, ConcurrentCommittersBatchOntoFewerFsyncs) {
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 
+  FsyncThreads wal_fsyncs(path + ".wal");
+  ScopedIoHooks guard(&wal_fsyncs.hooks);
   Database::Options opts;
   opts.path = path;  // file-backed: fsyncs are real
   auto open = Database::Open(opts);
   ASSERT_TRUE(open.ok());
   auto db = std::move(*open);
-
-  std::mutex mu;
-  std::set<std::thread::id> fsync_threads;
-  LogOf(*db).SetFsyncHookForTest([&] {
-    std::lock_guard<std::mutex> g(mu);
-    fsync_threads.insert(std::this_thread::get_id());
-  });
 
   auto before = KernelOf(*db).stats().snapshot();
   constexpr int kThreads = 8, kPer = 25;
@@ -504,12 +547,8 @@ TEST(WalPipelineTest, ConcurrentCommittersBatchOntoFewerFsyncs) {
   // Every commit was acked durable (strict policy, default).
   EXPECT_GE(LogOf(*db).durable_lsn(), static_cast<Lsn>(kThreads * kPer));
 
-  {
-    std::lock_guard<std::mutex> g(mu);
-    ASSERT_EQ(fsync_threads.size(), 1u);
-    EXPECT_EQ(*fsync_threads.begin(), LogOf(*db).flusher_thread_id_for_test());
-  }
-  LogOf(*db).SetFsyncHookForTest(nullptr);
+  EXPECT_EQ(wal_fsyncs.Get(), std::set<std::thread::id>{
+                                 LogOf(*db).flusher_thread_id_for_test()});
   db.reset();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
@@ -548,7 +587,13 @@ TEST(WalPipelineTest, StolenPageNeverOutrunsTheCreateRecord) {
 // but once the WAL has a sticky I/O failure, acks must fail rather than
 // report OK forever while nothing can become durable.
 TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
+  std::string path = ::testing::TempDir() + "/asset_wal_relaxed_db.data";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  FailNextWrite fault(path + ".wal");
+  ScopedIoHooks guard(&fault.hooks);
   Database::Options opts;
+  opts.path = path;  // file-backed: the failing pwrite has a device to hit
   opts.txn.durability = DurabilityPolicy::kRelaxed;
   auto open = Database::Open(opts);
   ASSERT_TRUE(open.ok());
@@ -560,10 +605,9 @@ TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
     ASSERT_TRUE(txn->Create<int>(1).ok());
     ASSERT_TRUE(txn->Commit().ok());  // healthy: the no-wait ack is OK
   }
-  LogOf(*db).InjectFlushErrorForTest(Status::IOError("injected device failure"));
-  // The injection fires on the next flush the flusher actually runs; at
-  // this point everything is already durable, so push fresh records
-  // through a failing flush to make the error stick. This commit's own
+  fault.armed = true;
+  // The fault fires on the next WAL write the flusher issues; push fresh
+  // records through it to make the error stick. This commit's own
   // no-wait ack races the flusher (it may return OK before the error
   // lands), so no assertion on it.
   {
@@ -579,6 +623,9 @@ TEST(WalPipelineTest, RelaxedCommitAcksFailAfterTheWalGoesBad) {
     ASSERT_TRUE(txn->Create<int>(3).ok());
     EXPECT_EQ(txn->Commit().code(), StatusCode::kIOError);
   }
+  db.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 // --- Fuzzy-checkpoint image codec and prefix truncation ------------------
@@ -661,16 +708,25 @@ TEST(LogManagerTest, SimulateCrashAfterTruncationKeepsDurablePrefix) {
 }
 
 TEST(LogManagerTest, TruncateRefusedOnStickyIoError) {
-  LogManager log(LogManager::FlushMode::kSynchronous);
-  log.Append(UpdateRec(1, 1, "", "a"));
-  LogRecord cp;
-  cp.type = LogRecordType::kCheckpoint;
-  log.Append(std::move(cp));
-  ASSERT_TRUE(log.Flush().ok());
-  log.InjectFlushErrorForTest(Status::IOError("injected"));
-  log.Append(UpdateRec(1, 1, "a", "b"));
-  ASSERT_FALSE(log.Flush().ok());  // the error sticks
-  EXPECT_EQ(log.TruncatePrefix().status().code(), StatusCode::kIllegalState);
+  std::string path = ::testing::TempDir() + "/asset_wal_trunc_ioerr.wal";
+  std::remove(path.c_str());
+  FailNextWrite fault(path);
+  ScopedIoHooks guard(&fault.hooks);
+  {
+    LogManager log(LogManager::FlushMode::kSynchronous);
+    ASSERT_TRUE(log.AttachFile(path).ok());
+    log.Append(UpdateRec(1, 1, "", "a"));
+    LogRecord cp;
+    cp.type = LogRecordType::kCheckpoint;
+    log.Append(std::move(cp));
+    ASSERT_TRUE(log.Flush().ok());
+    fault.armed = true;
+    log.Append(UpdateRec(1, 1, "a", "b"));
+    ASSERT_FALSE(log.Flush().ok());  // the error sticks
+    EXPECT_EQ(log.TruncatePrefix().status().code(),
+              StatusCode::kIllegalState);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(LogFileTest, TruncatedFileReattachesWithOriginalLsns) {
@@ -701,6 +757,54 @@ TEST(LogFileTest, TruncatedFileReattachesWithOriginalLsns) {
   EXPECT_EQ(log.last_checkpoint_lsn(), 3u);
   EXPECT_EQ(log.checkpoint_min_recovery_lsn(), 3u);
   EXPECT_EQ(log.At(5).after, (std::vector<uint8_t>{'d'}));
+  std::remove(path.c_str());
+}
+
+// Reattach reads the whole log through the full-transfer wrapper: an
+// interrupted read and reads that return at most half of what was asked
+// still yield every record with its original lsn.
+TEST(LogFileTest, AttachRetriesShortAndInterruptedReads) {
+  std::string path = ::testing::TempDir() + "/asset_wal_shortread.wal";
+  std::remove(path.c_str());
+  {
+    LogManager log;
+    ASSERT_TRUE(log.AttachFile(path).ok());
+    log.Append(UpdateRec(1, 1, "", "a"));
+    log.Append(UpdateRec(1, 1, "a", "b"));
+    LogRecord cp;
+    cp.type = LogRecordType::kCheckpoint;
+    log.Append(std::move(cp));
+    log.Append(UpdateRec(2, 1, "b", "c"));
+    log.Append(UpdateRec(2, 2, "", "dd"));
+    ASSERT_TRUE(log.Flush().ok());
+    ASSERT_EQ(*log.TruncatePrefix(), 2u);  // the file now starts at lsn 3
+  }
+  int reads = 0;
+  bool interrupted = false;
+  IoHooks hooks;
+  hooks.pread = [&](int fd, void* buf, size_t len, off_t off) -> ssize_t {
+    ++reads;
+    if (!interrupted) {
+      interrupted = true;
+      errno = EINTR;
+      return -1;
+    }
+    return ::pread(fd, buf, std::max<size_t>(1, len / 2), off);
+  };
+  ScopedIoHooks guard(&hooks);
+  LogManager log;
+  ASSERT_TRUE(log.AttachFile(path).ok());
+  EXPECT_GT(reads, 3);  // the short-read path really ran
+  std::vector<LogRecord> recs = log.ReadAll();
+  ASSERT_EQ(recs.size(), 3u);
+  EXPECT_EQ(recs[0].lsn, 3u);
+  EXPECT_EQ(recs[0].type, LogRecordType::kCheckpoint);
+  EXPECT_EQ(recs[1].lsn, 4u);
+  EXPECT_EQ(recs[1].after, (std::vector<uint8_t>{'c'}));
+  EXPECT_EQ(recs[2].lsn, 5u);
+  EXPECT_EQ(recs[2].oid, 2u);
+  EXPECT_EQ(recs[2].after, (std::vector<uint8_t>{'d', 'd'}));
+  EXPECT_EQ(log.durable_lsn(), 5u);
   std::remove(path.c_str());
 }
 
