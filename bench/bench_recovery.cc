@@ -97,9 +97,7 @@ class RecoveryBench {
 
  private:
   static void RunTxn(TransactionManager& tm, std::function<void()> fn) {
-    Tid t = tm.InitiateFn(std::move(fn));
-    tm.Begin(t);
-    tm.Commit(t);
+    models::RunAtomic(tm, std::move(fn));
   }
 
   InMemoryDiskManager disk_;

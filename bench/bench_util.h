@@ -14,6 +14,7 @@
 
 #include "common/histogram.h"
 #include "core/transaction_manager.h"
+#include "models/atomic.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/object_store.h"
@@ -79,9 +80,7 @@ class BenchKernel {
 
   /// Runs fn as one committed transaction; returns commit success.
   bool RunTxn(std::function<void()> fn) {
-    Tid t = tm_->InitiateFn(std::move(fn));
-    if (t == kNullTid || !tm_->Begin(t)) return false;
-    return tm_->Commit(t);
+    return models::RunAtomic(*tm_, std::move(fn));
   }
 
  private:

@@ -71,9 +71,7 @@ class WalBenchKernel {
   }
 
   bool RunTxn(std::function<void()> fn) {
-    Tid t = tm_->InitiateFn(std::move(fn));
-    if (t == kNullTid || !tm_->Begin(t)) return false;
-    return tm_->Commit(t);
+    return models::RunAtomic(*tm_, std::move(fn));
   }
 
  private:

@@ -437,12 +437,13 @@ class Database {
     return RenderWaitForDot(tm_->SnapshotState());
   }
 
-  /// Counters, latency percentiles, and WAL watermarks in Prometheus
-  /// text exposition format. Served over the wire by the kMetrics
-  /// command (src/api/), which makes this the network server's ops
-  /// endpoint.
+  /// Counters, latency percentiles, WAL watermarks, and the body worker
+  /// pool's size in Prometheus text exposition format. Served over the
+  /// wire by the kMetrics command (src/api/), which makes this the
+  /// network server's ops endpoint.
   std::string MetricsText() {
-    return RenderMetricsText(tm_->stats().snapshot(), WalMarks());
+    return RenderMetricsText(tm_->stats().snapshot(), WalMarks(),
+                             tm_->PoolThreads());
   }
 
  private:

@@ -140,7 +140,8 @@ std::string RenderWaitForDot(const KernelStateSnapshot& snap) {
 }
 
 std::string RenderMetricsText(const KernelStats::Snapshot& stats,
-                              const WalWatermarks& wal) {
+                              const WalWatermarks& wal,
+                              size_t kernel_threads) {
   ExpositionWriter w;
 #define ASSET_METRIC_COUNTER(group, field, label)                  \
   w.Counter("asset_" #group "_" #label "_total",                   \
@@ -161,6 +162,8 @@ std::string RenderMetricsText(const KernelStats::Snapshot& stats,
   w.Gauge("asset_wal_min_recovery_lsn",
           "Oldest LSN recovery would need to replay.",
           wal.min_recovery_lsn);
+  w.Gauge("asset_kernel_threads",
+          "Worker threads in the transaction-body pool.", kernel_threads);
   return w.Take();
 }
 

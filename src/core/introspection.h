@@ -81,10 +81,12 @@ std::string RenderKernelStateJson(const KernelStateSnapshot& snap,
 std::string RenderWaitForDot(const KernelStateSnapshot& snap);
 
 /// Counters ("asset_<group>_<label>_total"), latency summaries
-/// ("asset_<histogram>_ns"), and WAL watermarks in Prometheus text
-/// exposition format.
+/// ("asset_<histogram>_ns"), WAL watermarks, and the size of the body
+/// worker pool (`kernel_threads`, TransactionManager::PoolThreads) in
+/// Prometheus text exposition format.
 std::string RenderMetricsText(const KernelStats::Snapshot& stats,
-                              const WalWatermarks& wal);
+                              const WalWatermarks& wal,
+                              size_t kernel_threads);
 
 }  // namespace asset
 

@@ -2,16 +2,20 @@
 #define ASSET_CORE_THREAD_CACHE_H_
 
 /// \file thread_cache.h
-/// A cached-thread executor for transaction bodies.
+/// A cached-thread executor for transaction bodies started by Begin.
 ///
-/// The paper's execution model is one process per transaction; ours is
-/// one thread per *concurrently running* transaction. Spawning a fresh
-/// OS thread per begin() costs tens of microseconds — dominating short
-/// transactions — so the kernel runs bodies on cached workers: an idle
-/// worker picks the task up immediately, and a new worker is spawned
-/// only when none is idle. The pool therefore grows to the peak
-/// concurrency and never makes a transaction wait for an unrelated one
-/// (transactions block while holding locks; a bounded queue could
+/// The paper's execution model is one process per transaction. Ours
+/// runs a body on its caller whenever the caller would only wait for it
+/// (TransactionManager::RunBody: atomic transactions, saga steps,
+/// contingent alternatives, nested children), and on a worker from this
+/// pool when it must run concurrently with its caller (Begin(t),
+/// Begin(t1..tn): cooperative groups, GC pairs, split, workflow races,
+/// user code). Spawning a fresh OS thread per begin() costs tens of
+/// microseconds, so workers are cached: an idle worker picks the task up
+/// immediately, and a new worker is spawned only when none is idle. The
+/// pool therefore grows to the peak number of concurrently running
+/// pooled bodies and never makes a transaction wait for an unrelated
+/// one (transactions block while holding locks; a bounded queue could
 /// deadlock the system).
 
 #include <condition_variable>

@@ -214,47 +214,58 @@ void TransactionManager::StartRunningLocked(TransactionDescriptor* td) {
   WakeDependentsLocked(td->tid);
 }
 
-Status TransactionManager::BeginTxn(Tid t) {
-  TransactionDescriptor* td;
-  {
-    std::unique_lock<std::mutex> lk(sync_.mu);
-    td = FindLocked(t);
-    if (td == nullptr) {
-      return Status::NotFound("begin: unknown transaction " +
-                              std::to_string(t));
-    }
-    TdPin pin(td);
-    const bool bounded = options_.commit_timeout.count() > 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() + options_.commit_timeout;
-    // Begin-dependency gate (ACTA BD/BCD extension): block until every
-    // begin-dependency is satisfied; fail if one became unsatisfiable.
-    for (;;) {
-      if (shutting_down_) {
-        return Status::IllegalState("begin: kernel is shutting down");
-      }
-      if (td->status != TxnStatus::kInitiated) {
-        return Status::IllegalState(
-            "begin: transaction " + std::to_string(t) + " is " +
-            TxnStatusToString(td->status));
-      }
-      bool blocked = false;
-      ASSET_RETURN_NOT_OK(EvalBeginGateLocked(t, &blocked));
-      if (!blocked) break;
-      if (bounded) {
-        if (td->lifecycle_cv.wait_until(lk, deadline) ==
-            std::cv_status::timeout) {
-          return Status::TimedOut(
-              "begin: begin-dependencies of transaction " +
-              std::to_string(t) + " unresolved within timeout");
-        }
-      } else {
-        td->lifecycle_cv.wait(lk);
-      }
-    }
-    StartRunningLocked(td);
+Status TransactionManager::StartTxn(Tid t, TransactionDescriptor** out) {
+  std::unique_lock<std::mutex> lk(sync_.mu);
+  TransactionDescriptor* td = FindLocked(t);
+  if (td == nullptr) {
+    return Status::NotFound("begin: unknown transaction " +
+                            std::to_string(t));
   }
+  TdPin pin(td);
+  const bool bounded = options_.commit_timeout.count() > 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + options_.commit_timeout;
+  // Begin-dependency gate (ACTA BD/BCD extension): block until every
+  // begin-dependency is satisfied; fail if one became unsatisfiable.
+  for (;;) {
+    if (shutting_down_) {
+      return Status::IllegalState("begin: kernel is shutting down");
+    }
+    if (td->status != TxnStatus::kInitiated) {
+      return Status::IllegalState(
+          "begin: transaction " + std::to_string(t) + " is " +
+          TxnStatusToString(td->status));
+    }
+    bool blocked = false;
+    ASSET_RETURN_NOT_OK(EvalBeginGateLocked(t, &blocked));
+    if (!blocked) break;
+    if (bounded) {
+      if (td->lifecycle_cv.wait_until(lk, deadline) ==
+          std::cv_status::timeout) {
+        return Status::TimedOut(
+            "begin: begin-dependencies of transaction " +
+            std::to_string(t) + " unresolved within timeout");
+      }
+    } else {
+      td->lifecycle_cv.wait(lk);
+    }
+  }
+  StartRunningLocked(td);
+  *out = td;
+  return Status::OK();
+}
+
+Status TransactionManager::BeginTxn(Tid t) {
+  TransactionDescriptor* td = nullptr;
+  ASSET_RETURN_NOT_OK(StartTxn(t, &td));
   executor_.Submit([this, td] { ThreadMain(td); });
+  return Status::OK();
+}
+
+Status TransactionManager::RunBody(Tid t) {
+  TransactionDescriptor* td = nullptr;
+  ASSET_RETURN_NOT_OK(StartTxn(t, &td));
+  ThreadMain(td);
   return Status::OK();
 }
 
@@ -368,6 +379,9 @@ Result<Tid> TransactionManager::BeginSession() {
 }
 
 void TransactionManager::ThreadMain(TransactionDescriptor* td) {
+  // An inline body (RunBody) runs on a thread that may itself be
+  // executing a transaction; that transaction is current again after.
+  TransactionDescriptor* const caller = tls_current;
   tls_current = td;
   try {
     td->fn();
@@ -382,7 +396,7 @@ void TransactionManager::ThreadMain(TransactionDescriptor* td) {
       }
     }
   }
-  tls_current = nullptr;
+  tls_current = caller;
   std::lock_guard<std::mutex> lk(sync_.mu);
   td->thread_exited = true;
   live_threads_--;
@@ -1282,7 +1296,10 @@ TransactionManager::SnapshotActiveTransactions() const {
   std::lock_guard<std::mutex> lk(sync_.mu);
   std::vector<FuzzyCheckpointImage::TxnEntry> out;
   for (const auto& [tid, td] : txns_) {
-    if (!td->begun || IsTerminated(td->status)) continue;
+    if (IsTerminated(td->status)) continue;
+    // An initiated transaction counts once operations were delegated to
+    // it: truncation must keep the records its abort would undo.
+    if (!td->begun && td->responsible_ops.empty()) continue;
     FuzzyCheckpointImage::TxnEntry e;
     e.tid = tid;
     e.ops = td->responsible_ops;

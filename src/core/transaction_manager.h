@@ -17,17 +17,24 @@
 /// propagation, explicit abort) that the bare `false` discards. The bool
 /// forms are thin wrappers over the Status forms.
 ///
-/// Execution model: each begun transaction runs its registered function
-/// on a dedicated worker thread drawn from a cached, unbounded pool
-/// (ThreadCache); Self()/Parent() consult a thread-local pointer to the
-/// executing TD, matching the paper's per-transaction process. Commit is
-/// blocking; a transaction completes (holding its locks, changes not yet
-/// persistent) when its function returns, and terminates only through
-/// Commit or Abort. BeginSession() additionally supports *caller-driven*
-/// transactions — no registered function, no worker thread; the caller
-/// issues data operations with the returned tid from any one thread and
-/// finishes with CommitTxn/AbortTxn. This is the substrate of the RAII
-/// `Txn` handle on Database.
+/// Execution model: a transaction's registered function runs in one of
+/// two places. RunBody(t) begins t and runs its function on the calling
+/// thread, returning once the function has completed; the sequential §3
+/// translations (atomic, saga steps and compensations, contingent
+/// alternatives, nested children) use it, because their caller would
+/// only block until the body finished. Begin(t) and Begin(t1..tn) hand
+/// the function to a worker drawn from a cached, unbounded pool
+/// (ThreadCache), matching the paper's per-transaction process, for
+/// bodies that must run concurrently with their caller or each other.
+/// Either way Self()/Parent() consult a thread-local pointer to the
+/// executing TD, which an inline body saves and restores around itself.
+/// Commit is blocking; a transaction completes (holding its locks,
+/// changes not yet persistent) when its function returns, and
+/// terminates only through Commit or Abort. BeginSession() additionally
+/// supports *caller-driven* transactions — no registered function, no
+/// worker thread; the caller issues data operations with the returned
+/// tid from any one thread and finishes with CommitTxn/AbortTxn. This
+/// is the substrate of the RAII `Txn` handle on Database.
 ///
 /// Blocking and wakeups: every blocked primitive sleeps on the specific
 /// transaction it is waiting for (TD::lifecycle_cv for lifecycle waits,
@@ -144,6 +151,14 @@ class TransactionManager {
   /// never be satisfied, kTimedOut if the begin-dependency gate did not
   /// open within the commit timeout.
   Status BeginTxn(Tid t);
+
+  /// Begins t (same gate and errors as BeginTxn) and runs its function
+  /// on the calling thread instead of a pool worker; returns once the
+  /// function has completed, leaving t completed (or aborting) for the
+  /// caller to Commit or Abort. Self() is t inside the function and the
+  /// caller's own transaction again afterwards, so a transaction body
+  /// may run a child this way. No worker thread is woken or created.
+  Status RunBody(Tid t);
 
   /// begin(t1, ..., tn): starts several transactions atomically — either
   /// every listed transaction starts or none does. The call validates
@@ -298,6 +313,10 @@ class TransactionManager {
   /// RenderKernelStateJson / RenderWaitForDot (introspection.h).
   KernelStateSnapshot SnapshotState() const;
 
+  /// Worker threads in the body pool (ThreadCache::WorkersCreated; the
+  /// pool never shrinks). Bodies run through RunBody add none.
+  size_t PoolThreads() const { return executor_.WorkersCreated(); }
+
   /// Count of begun-but-unterminated transactions.
   size_t ActiveTransactions() const;
 
@@ -307,8 +326,9 @@ class TransactionManager {
                     std::chrono::milliseconds(0)) const;
 
   /// The active-transaction table for a fuzzy checkpoint: every begun,
-  /// unterminated transaction with a copy of the lsns of the data
-  /// operations it is responsible for (delegation folded in). One
+  /// unterminated transaction, and every initiated one that operations
+  /// were delegated to, with a copy of the lsns of the data operations
+  /// it is responsible for (delegation folded in). One
   /// kernel-mutex hold, so the snapshot is atomic with respect to
   /// begin, commit, abort, and delegation.
   std::vector<FuzzyCheckpointImage::TxnEntry> SnapshotActiveTransactions()
@@ -346,9 +366,14 @@ class TransactionManager {
   Status EvalBeginGateLocked(Tid t, bool* blocked) const;
 
   /// Transitions an initiated `td` to running: status, accounting, begin
-  /// log record, and the dependent wakeups. The caller submits
-  /// ThreadMain afterwards (outside the mutex).
+  /// log record, and the dependent wakeups. The caller runs ThreadMain
+  /// afterwards (outside the mutex), inline or on a pool worker.
   void StartRunningLocked(TransactionDescriptor* td);
+
+  /// The single-transaction begin shared by BeginTxn and RunBody:
+  /// validates t, waits out its begin-dependency gate, and starts it
+  /// running; `*out` is t's TD on success.
+  Status StartTxn(Tid t, TransactionDescriptor** out);
 
   /// Resolves `t` to a running TD for a data operation. Fast path: when
   /// the calling thread IS the transaction, only an atomic status check
@@ -415,7 +440,8 @@ class TransactionManager {
   Status AcquireOrDoom(TransactionDescriptor* td, ObjectId oid,
                        LockMode mode);
 
-  /// Body run on each transaction's thread.
+  /// Runs `td`'s function and records its completion, on a pool worker
+  /// (BeginTxn) or on the caller of RunBody.
   void ThreadMain(TransactionDescriptor* td);
 
   /// Reclaims TDs that are terminated with exited threads and no pins.
@@ -452,7 +478,7 @@ class TransactionManager {
   DependencyGraph deps_;
   TdTable txns_;
   LockManager locks_;
-  /// Runs transaction bodies on cached worker threads.
+  /// Runs the bodies started by Begin on cached worker threads.
   ThreadCache executor_;
   UndoManager undo_;
 
@@ -460,7 +486,7 @@ class TransactionManager {
   std::unordered_map<Tid, TxnStatus> tombstones_;
   Tid next_tid_ = 1;
   size_t active_count_ = 0;        // begun, not yet terminated
-  size_t live_threads_ = 0;        // threads between Begin and thread_exited
+  size_t live_threads_ = 0;        // bodies between begin and thread_exited
   size_t unterminated_count_ = 0;  // initiated or active (admission control)
   bool shutting_down_ = false;
 };

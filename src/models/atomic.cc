@@ -9,7 +9,8 @@ namespace asset::models {
 bool RunAtomic(TransactionManager& tm, std::function<void()> body) {
   Tid t = tm.InitiateFn(std::move(body));
   if (t == kNullTid) return false;
-  if (!tm.Begin(t)) return false;
+  // begin(t) with the body run here: the caller only waits for it.
+  if (!tm.RunBody(t).ok()) return false;
   return tm.Commit(t);
 }
 

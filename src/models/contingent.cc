@@ -1,5 +1,7 @@
 #include "models/contingent.h"
 
+#include "models/atomic.h"
+
 namespace asset::models {
 
 ContingentTransaction& ContingentTransaction::AddAlternative(
@@ -12,10 +14,7 @@ int RunFirstToCommit(TransactionManager& tm,
                      const std::vector<std::function<void()>>& alternatives) {
   // t1 = initiate(f1); begin(t1); if (commit(t1)); else { t2 = ... }
   for (size_t i = 0; i < alternatives.size(); ++i) {
-    Tid t = tm.InitiateFn(alternatives[i]);
-    if (t == kNullTid) continue;
-    if (!tm.Begin(t)) continue;
-    if (tm.Commit(t)) return static_cast<int>(i);
+    if (RunAtomic(tm, alternatives[i])) return static_cast<int>(i);
   }
   return -1;
 }

@@ -20,7 +20,9 @@ Status RunSubtransaction(TransactionManager& tm, std::function<void()> body,
   // permit(self(), t1): the child may see and touch everything the
   // parent holds, without a serialization conflict.
   ASSET_RETURN_NOT_OK(tm.Permit(self, child));
-  if (!tm.Begin(child)) {
+  // begin(t1) with the child run here: the parent only waits for it,
+  // so wait(t1) below returns at once.
+  if (!tm.RunBody(child).ok()) {
     return Status::IllegalState("could not begin subtransaction");
   }
   if (!tm.Wait(child)) {

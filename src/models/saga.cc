@@ -1,6 +1,7 @@
 #include "models/saga.h"
 
 #include "core/database_internal.h"
+#include "models/atomic.h"
 
 namespace asset::models {
 
@@ -9,8 +10,7 @@ bool CompensateUntilCommitted(TransactionManager& tm,
                               int max_attempts) {
   for (int attempts = 0; max_attempts <= 0 || attempts < max_attempts;
        ++attempts) {
-    Tid ct = tm.InitiateFn(compensation);
-    if (ct != kNullTid && tm.Begin(ct) && tm.Commit(ct)) return true;
+    if (RunAtomic(tm, compensation)) return true;
   }
   return false;
 }
@@ -30,12 +30,8 @@ Saga::Outcome Saga::Run(TransactionManager& tm,
                         int max_compensation_attempts) {
   Outcome outcome;
   // Forward phase: ti = initiate(fi); begin(ti); if (!commit(ti)) break;
-  size_t i = 0;
-  for (; i < steps_.size(); ++i) {
-    Tid t = tm.InitiateFn(steps_[i].action);
-    if (t == kNullTid) break;
-    if (!tm.Begin(t)) break;
-    if (!tm.Commit(t)) break;
+  for (const Step& step : steps_) {
+    if (!RunAtomic(tm, step.action)) break;
     outcome.steps_committed++;
   }
   if (outcome.steps_committed == steps_.size()) {

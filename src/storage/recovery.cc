@@ -13,10 +13,6 @@ bool IsDataOp(LogRecordType t) {
          t == LogRecordType::kDelete || t == LogRecordType::kIncrement;
 }
 
-bool IsClr(LogRecordType t) {
-  return t == LogRecordType::kClrPut || t == LogRecordType::kClrDelete;
-}
-
 }  // namespace
 
 Result<RecoveryManager::Report> RecoveryManager::Recover(LogManager* log,

@@ -110,6 +110,42 @@ TEST(DatabaseCheckpointTest, CheckpointTruncatesWal) {
   EXPECT_EQ(*got, 20);
 }
 
+// An initiated, not yet begun transaction can already be responsible
+// for operations delegated to it. The checkpoint's active-transaction
+// table must carry them, or truncation drops the records that its
+// abort has to undo and recovery has to attribute.
+TEST(DatabaseCheckpointTest, DelegatedOpsOfAnInitiatedTxnSurviveTruncation) {
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash before the owner terminates"
+                       : "owner aborts");
+    auto db = Database::Open();
+    ASSERT_TRUE(db.ok());
+    TransactionManager& tm = KernelOf(**db);
+    ObjectId oid = CommitOne(db->get(), 1);
+    Tid owner = tm.Initiate([] {});
+    Tid writer = tm.Initiate(
+        [&] { ASSERT_TRUE((*db)->Put<int64_t>(oid, 2).ok()); });
+    ASSERT_TRUE(tm.Begin(writer));
+    ASSERT_EQ(tm.Wait(writer), 1);
+    ASSERT_TRUE(tm.Delegate(writer, owner).ok());
+    ASSERT_TRUE(tm.Commit(writer));
+    for (int i = 0; i < 5; ++i) CommitOne(db->get(), i);
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    ASSERT_GE(tm.stats().wal_truncations.load(), 1u);
+    if (crash) {
+      ASSERT_TRUE((*db)->CrashAndRecover().ok());
+    } else {
+      ASSERT_TRUE(tm.Begin(owner));
+      ASSERT_TRUE(tm.Abort(owner));
+    }
+    auto t = (*db)->Begin();
+    ASSERT_TRUE(t.ok());
+    auto got = t->Get<int64_t>(oid);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, 1);
+  }
+}
+
 TEST(DatabaseCheckpointTest, TruncationCanBeDisabled) {
   Database::Options o;
   o.checkpoint.truncate_wal = false;

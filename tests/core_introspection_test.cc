@@ -15,6 +15,7 @@
 #include "core/database.h"
 #include "core/database_internal.h"
 #include "json_lite.h"
+#include "models/atomic.h"
 
 namespace asset {
 namespace {
@@ -267,6 +268,30 @@ TEST(IntrospectionTest, MetricsTextExposesCountersAndPercentiles) {
   }
   // At least one commit was acked, so the commit histogram is non-empty.
   EXPECT_EQ(m.find("asset_commit_latency_ns_count 0\n"), std::string::npos);
+}
+
+TEST(IntrospectionTest, MetricsTextExposesTheBodyPoolSize) {
+  auto db = OpenDb();
+  std::string m = db->MetricsText();
+  EXPECT_NE(m.find("# TYPE asset_kernel_threads gauge\n"), std::string::npos)
+      << m;
+  EXPECT_NE(m.find("\nasset_kernel_threads 0\n"), std::string::npos) << m;
+  // A session transaction and an atomic body run on this thread...
+  {
+    auto t = db->Begin();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(t->Create<int64_t>(5).ok());
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  ASSERT_TRUE(models::RunAtomic(*db, [] {}));
+  EXPECT_NE(db->MetricsText().find("\nasset_kernel_threads 0\n"),
+            std::string::npos);
+  // ...while begin(t) hands its body to a pool worker.
+  Tid t = db->Initiate([] {});
+  ASSERT_TRUE(db->Begin(t));
+  ASSERT_TRUE(db->Commit(t));
+  m = db->MetricsText();
+  EXPECT_NE(m.find("\nasset_kernel_threads 1\n"), std::string::npos) << m;
 }
 
 }  // namespace

@@ -213,10 +213,15 @@ TEST_P(DelegationChainProperty, OutcomeFollowsFinalResponsible) {
     current = next;
   }
   // Everyone except the final holder terminates arbitrarily; their
-  // terminations must not decide the value.
+  // terminations must not decide the value. A committing link that is
+  // still only initiated is begun first, so its commit really happens
+  // instead of timing out on a body that never ran.
   for (size_t i = 0; i + 1 < chain.size(); ++i) {
     if (i % 2 == 0) {
-      tm.Commit(chain[i]);
+      if (tm.GetStatus(chain[i]) == TxnStatus::kInitiated) {
+        ASSERT_TRUE(tm.Begin(chain[i]));
+      }
+      EXPECT_TRUE(tm.Commit(chain[i]));
     } else {
       tm.Abort(chain[i]);
     }

@@ -60,6 +60,22 @@ TEST_F(ObjectStoreTest, WriteChangesValueAndSize) {
   EXPECT_EQ(*store_.Read(oid), Bytes("s"));
 }
 
+TEST_F(ObjectStoreTest, ZeroLengthObjectsRoundTrip) {
+  // A default-constructed span has a null data(); the record copy must
+  // not hand it to memcpy.
+  auto oid = store_.Create(std::span<const uint8_t>());
+  ASSERT_TRUE(oid.ok());
+  auto back = store_.Read(*oid);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->empty());
+  ASSERT_TRUE(store_.Write(*oid, Bytes("x")).ok());
+  EXPECT_EQ(*store_.Read(*oid), Bytes("x"));
+  ASSERT_TRUE(store_.Write(*oid, std::vector<uint8_t>()).ok());
+  back = store_.Read(*oid);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->empty());
+}
+
 TEST_F(ObjectStoreTest, MissingObjectIsNotFound) {
   EXPECT_TRUE(store_.Read(999).status().IsNotFound());
   EXPECT_TRUE(store_.Write(999, Bytes("x")).IsNotFound());
